@@ -211,8 +211,12 @@ class Transducer(abc.ABC):
         return kb.revision_of(self.input_predicates()) > self._last_run_revision
 
     def can_run(self, kb: KnowledgeBase) -> bool:
-        """Runnable = dependencies satisfied and inputs changed since last run."""
-        return self.satisfied(kb) and self.inputs_changed_since_last_run(kb)
+        """Runnable = dependencies satisfied and inputs changed since last run.
+
+        The revision compare goes first: it is a lookup, while
+        :meth:`satisfied` evaluates the dependency goals over the KB.
+        """
+        return self.inputs_changed_since_last_run(kb) and self.satisfied(kb)
 
     # -- execution ------------------------------------------------------------------
 

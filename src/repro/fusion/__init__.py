@@ -1,6 +1,6 @@
 """Duplicate detection and data fusion."""
 
-from repro.fusion.blocking import block_by_attributes, block_by_key_function, candidate_pairs
+from repro.fusion.blocking import block_by_attributes, block_by_key_function, candidate_blocks
 from repro.fusion.duplicates import (
     DuplicateDetector,
     DuplicateDetectorConfig,
@@ -17,7 +17,7 @@ from repro.fusion.transducers import (
 __all__ = [
     "block_by_attributes",
     "block_by_key_function",
-    "candidate_pairs",
+    "candidate_blocks",
     "DuplicateDetector",
     "DuplicateDetectorConfig",
     "DuplicatePair",

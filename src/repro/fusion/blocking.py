@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 from repro.relational.keys import normalise_key
 from repro.relational.table import Row, Table
 
-__all__ = ["block_by_attributes", "block_by_key_function", "candidate_pairs"]
+__all__ = ["block_by_attributes", "block_by_key_function", "candidate_blocks"]
 
 
 def block_by_attributes(table: Table, attributes: Sequence[str]) -> dict[tuple, list[int]]:
@@ -24,9 +24,13 @@ def block_by_attributes(table: Table, attributes: Sequence[str]) -> dict[tuple, 
     Rows with NULL in any blocking attribute end up in their own singleton
     blocks (they can never be confidently matched on that key).
     """
+    columns = [
+        table.column(name) if name in table.schema else [None] * len(table)
+        for name in attributes
+    ]
     blocks: dict[tuple, list[int]] = defaultdict(list)
-    for index, row in enumerate(table.rows()):
-        key = tuple(normalise_key(row.get(name)) for name in attributes)
+    for index in range(len(table)):
+        key = tuple(normalise_key(column[index]) for column in columns)
         if any(part is None for part in key):
             blocks[("__null__", index)].append(index)
         else:
@@ -44,18 +48,21 @@ def block_by_key_function(
     return dict(blocks)
 
 
-def candidate_pairs(blocks: dict, *, max_block_size: int = 200) -> list[tuple[int, int]]:
-    """All within-block row-index pairs (i < j).
+def candidate_blocks(
+    table: Table, attributes: Sequence[str], *, max_block_size: int = 200
+) -> list[list[int]]:
+    """Groups of row indexes whose members are compared pairwise.
 
-    Oversized blocks (low-selectivity keys) are skipped; they would dominate
-    the runtime while contributing mostly non-duplicates.
+    With blocking ``attributes``: the blocks of :func:`block_by_attributes`
+    in first-appearance order, minus singletons (NULL keys included) and
+    oversized blocks — low-selectivity keys would dominate the runtime while
+    contributing mostly non-duplicates. Without: the whole table is one
+    group. Members are in ascending row order.
     """
-    pairs: list[tuple[int, int]] = []
-    for members in blocks.values():
-        if len(members) < 2 or len(members) > max_block_size:
-            continue
-        ordered = sorted(members)
-        for i, left in enumerate(ordered):
-            for right in ordered[i + 1:]:
-                pairs.append((left, right))
-    return pairs
+    if not attributes:
+        return [list(range(len(table)))]
+    return [
+        members
+        for members in block_by_attributes(table, attributes).values()
+        if 2 <= len(members) <= max_block_size
+    ]

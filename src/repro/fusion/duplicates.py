@@ -10,10 +10,11 @@ evaluate when duplicates have been detected").
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
-from repro.fusion.blocking import block_by_attributes, candidate_pairs
+from repro.fusion.blocking import candidate_blocks
 from repro.matching.similarity import jaro_winkler_similarity
 from repro.relational.table import Row, Table
 from repro.relational.types import is_null
@@ -82,21 +83,69 @@ class DuplicateDetector:
 
     def detect(self, table: Table) -> list[DuplicatePair]:
         """All duplicate pairs in ``table`` (row-index pairs with scores)."""
-        config = self._config
-        blocking = [name for name in config.blocking_attributes if name in table.schema]
-        if blocking:
-            blocks = block_by_attributes(table, blocking)
-            pairs = candidate_pairs(blocks, max_block_size=config.max_block_size)
-        else:
-            indexes = list(range(len(table)))
-            pairs = [(i, j) for i in indexes for j in indexes if i < j]
+        threshold = self._config.threshold
         rows = table.rows()
         duplicates = []
-        for left_index, right_index in pairs:
+        for left_index, right_index in self.candidates(table):
             score = self.pair_similarity(rows[left_index], rows[right_index])
-            if score >= config.threshold:
+            if score >= threshold:
                 duplicates.append(DuplicatePair(left_index, right_index, round(score, 6)))
         return duplicates
+
+    def candidates(
+        self, table: Table, touching: Iterable[int] | None = None
+    ) -> Iterator[tuple[int, int]]:
+        """Row-index pairs ``(i, j)``, ``i < j``, that may reach the threshold.
+
+        Pairs come block by block (see
+        :func:`~repro.fusion.blocking.candidate_blocks`), ordered by ``i``
+        then ``j`` within a block, as all-pairs enumeration orders them.
+        Only pairs that provably score below the threshold are left out:
+        with ``m`` comparison attributes in the schema, each scoring at most
+        1, a pair reaches threshold ``t`` only if every attribute scores at
+        least ``L = t·m − (m−1)``. On the first numeric comparison attribute
+        a score of at least ``L`` needs a relative difference of at most
+        ``max(1 − L, numeric_tolerance)`` — past the tolerance the score is
+        ``1 − difference``, within it at least 0.5 — and NULL (0.5) rules a
+        row out when ``L > 0.5``. :class:`_BlockIndex` turns that into
+        sorted windows; every other pair is kept and scored. A subclass
+        that changes the scoring must keep these facts or override this.
+
+        With ``touching``, only pairs with an endpoint among those row
+        positions, enumerated from them (never a scan of all pairs).
+        """
+        config = self._config
+        schema = table.schema
+        blocking = [name for name in config.blocking_attributes if name in schema]
+        blocks = candidate_blocks(table, blocking, max_block_size=config.max_block_size)
+        compared = [name for name in config.comparison_attributes if name in schema]
+        numeric = next((name for name in compared if schema.dtype(name).is_numeric), None)
+        values, ratio, drop_nulls = [None] * len(table), None, False
+        if numeric is not None:
+            # The slack keeps pairs within float rounding of a bound (they
+            # are scored, not dropped).
+            floor = config.threshold * len(compared) - (len(compared) - 1) - _SLACK
+            radius = max(1.0 - floor, config.numeric_tolerance) + _SLACK
+            values = table.column(numeric)
+            ratio = 1.0 - radius if radius < 1.0 else None
+            drop_nulls = floor > 0.5
+        touched = None if touching is None else set(touching)
+        for members in blocks:
+            if touched is not None and touched.isdisjoint(members):
+                continue
+            index = _BlockIndex(members, values, ratio, drop_nulls)
+            if touched is None:
+                for left in index.eligible:
+                    for right in index.later_partners(left):
+                        yield left, right
+            else:
+                pairs = {
+                    (min(left, right), max(left, right))
+                    for left in index.eligible
+                    if left in touched
+                    for right in index.partners(left)
+                }
+                yield from sorted(pairs)
 
     def pair_similarity(self, left: Row, right: Row) -> float:
         """Mean per-attribute similarity over the comparison attributes.
@@ -119,8 +168,7 @@ class DuplicateDetector:
         return sum(scores) / len(scores)
 
     def _value_similarity(self, left, right) -> float:
-        if isinstance(left, (int, float)) and isinstance(right, (int, float)) \
-                and not isinstance(left, bool) and not isinstance(right, bool):
+        if _is_number(left) and _is_number(right):
             left_value, right_value = float(left), float(right)
             if left_value == right_value:
                 return 1.0
@@ -132,6 +180,80 @@ class DuplicateDetector:
                 return 1.0 - difference / max(self._config.numeric_tolerance, 1e-9) * 0.5
             return max(0.0, 1.0 - difference)
         return jaro_winkler_similarity(str(left).strip().lower(), str(right).strip().lower())
+
+
+#: Safety margin on the pruning bounds of :meth:`DuplicateDetector.candidates`.
+_SLACK = 1e-9
+
+
+def _is_number(value) -> bool:
+    """Whether ``value`` is scored as a number (bools and strings are
+    scored as strings)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+class _BlockIndex:
+    """Which members of one block may pair, judged on one numeric attribute.
+
+    ``ratio`` is ``1 − radius`` for the relative-difference radius of
+    :meth:`DuplicateDetector.candidates` (``None``: no window). Same-sign
+    magnitudes ``x ≤ y`` are within the radius when ``x ≥ y·ratio``, so a
+    member's partners sit in a sorted window of its sign; opposite signs,
+    and zero beside non-zero, differ by a relative 1 or more and score 0.
+    NULLs pair with nobody when ``drop_nulls``; values compared as strings
+    (strings, bools) pair with every eligible member.
+    """
+
+    def __init__(self, members: list[int], values: list, ratio: float | None, drop_nulls: bool):
+        self.ratio = ratio
+        #: Members that can pair at all, ascending.
+        self.eligible: list[int] = []
+        #: Eligible members that pair with every other eligible member.
+        self.wild: list[int] = []
+        #: Windowed members: member → (sign, magnitude).
+        self.numbers: dict[int, tuple[int, float]] = {}
+        lines: dict[int, list[tuple[float, int]]] = {}
+        for member in members:
+            value = values[member]
+            if is_null(value):
+                if drop_nulls:
+                    continue
+                self.wild.append(member)
+            elif ratio is not None and _is_number(value):
+                number = float(value)
+                sign = (number > 0) - (number < 0)
+                self.numbers[member] = (sign, abs(number))
+                lines.setdefault(sign, []).append((abs(number), member))
+            else:
+                self.wild.append(member)
+            self.eligible.append(member)
+        #: sign → (sorted magnitudes, their members).
+        self.lines: dict[int, tuple[list[float], list[int]]] = {}
+        for sign, line in lines.items():
+            line.sort()
+            self.lines[sign] = ([pair[0] for pair in line], [pair[1] for pair in line])
+
+    def _window(self, member: int) -> list[int]:
+        """Windowed members whose magnitude may be close enough (incl. itself)."""
+        sign, magnitude = self.numbers[member]
+        magnitudes, owners = self.lines[sign]
+        low = bisect_left(magnitudes, magnitude * self.ratio)
+        high = bisect_right(magnitudes, magnitude / self.ratio)
+        return owners[low:high]
+
+    def partners(self, member: int) -> list[int]:
+        """Every member ``member`` may pair with (unordered)."""
+        if member not in self.numbers:
+            return [other for other in self.eligible if other != member]
+        return self.wild + [other for other in self._window(member) if other != member]
+
+    def later_partners(self, member: int) -> list[int]:
+        """The partners with a higher row index, ascending."""
+        if member not in self.numbers:
+            return self.eligible[bisect_right(self.eligible, member) :]
+        later = self.wild[bisect_right(self.wild, member) :]
+        later += [other for other in self._window(member) if other > member]
+        return sorted(later)
 
 
 def cluster_pairs(pairs: Sequence[DuplicatePair], size: int) -> list[list[int]]:

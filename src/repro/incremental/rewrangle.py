@@ -25,14 +25,14 @@ almost entirely redundant.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 from repro.core.facts import Predicates, metric_fact, result_fact
 from repro.core.knowledge_base import KnowledgeBase
 from repro.core.registry import TransducerRegistry
-from repro.fusion.blocking import block_by_attributes, candidate_pairs
 from repro.fusion.duplicates import DuplicateDetector
 from repro.fusion.fusion import DataFuser
 from repro.fusion.transducers import DUPLICATES_ARTIFACT_KEY
@@ -895,9 +895,9 @@ class IncrementalWrangler:
     def _repair_pairs(self, rel_state: RelationState, touched: set[str]) -> None:
         """Drop pairs touching ``touched`` keys and re-score their candidates.
 
-        Mirrors :meth:`DuplicateDetector.detect` over the pre-fusion rows,
+        The detector's own candidate generator over the pre-fusion rows,
         restricted to pairs with at least one touched endpoint: same blocks,
-        same oversized-block skips, same threshold, same score rounding.
+        same pruning, same threshold, same score rounding as detection.
         """
         rel_state.pairs = {
             pair: score
@@ -905,35 +905,18 @@ class IncrementalWrangler:
             if pair[0] not in touched and pair[1] not in touched
         }
         alive = rel_state.alive_keys()
-        touched_alive = [key for key in alive if key in touched]
-        if not touched_alive:
+        touched_positions = [position for position, key in enumerate(alive) if key in touched]
+        if not touched_positions:
             return
         config = self._detector.config
         schema = rel_state.schema
         table = Table(
             schema, [rel_state.prefusion[key] for key in alive], coerce=False, validate=False
         )
-        position_of = {key: position for position, key in enumerate(alive)}
-        blocking = [name for name in config.blocking_attributes if name in schema]
-        if blocking:
-            blocks = block_by_attributes(table, blocking)
-            pairs = candidate_pairs(blocks, max_block_size=config.max_block_size)
-            candidates = [(i, j) for i, j in pairs if alive[i] in touched or alive[j] in touched]
-        else:
-            touched_positions = sorted(position_of[key] for key in touched_alive)
-            candidates = []
-            seen = set()
-            for i in touched_positions:
-                for j in range(len(alive)):
-                    if i == j:
-                        continue
-                    pair = (min(i, j), max(i, j))
-                    if pair not in seen:
-                        seen.add(pair)
-                        candidates.append(pair)
-        rows = table.rows()
-        for i, j in candidates:
-            score = self._detector.pair_similarity(rows[i], rows[j])
+        # Row views only for candidate endpoints, not for every alive row.
+        row = functools.cache(table.__getitem__)
+        for i, j in self._detector.candidates(table, touching=touched_positions):
+            score = self._detector.pair_similarity(row(i), row(j))
             if score >= config.threshold:
                 rel_state.pairs[(alive[i], alive[j])] = round(score, 6)
 
@@ -1024,25 +1007,12 @@ class IncrementalWrangler:
         """Would the pipeline's final detection pass fuse again?"""
         if not changed_keys:
             return False
-        config = self._detector.config
-        keys = table.row_keys()
-        rows = table.rows()
-        blocking = [name for name in config.blocking_attributes if name in table.schema]
-        if blocking:
-            blocks = block_by_attributes(table, blocking)
-            pairs: Iterable[tuple[int, int]] = candidate_pairs(
-                blocks, max_block_size=config.max_block_size
-            )
-        else:
-            pairs = (
-                (min(i, j), max(i, j))
-                for i in range(len(keys))
-                for j in range(len(keys))
-                if i < j and (keys[i] in changed_keys or keys[j] in changed_keys)
-            )
-        for i, j in pairs:
-            if keys[i] not in changed_keys and keys[j] not in changed_keys:
-                continue
-            if self._detector.pair_similarity(rows[i], rows[j]) >= config.threshold:
-                return True
-        return False
+        threshold = self._detector.config.threshold
+        touching = [
+            position for position, key in enumerate(table.row_keys()) if key in changed_keys
+        ]
+        row = functools.cache(table.__getitem__)
+        return any(
+            self._detector.pair_similarity(row(i), row(j)) >= threshold
+            for i, j in self._detector.candidates(table, touching=touching)
+        )

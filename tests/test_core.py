@@ -392,6 +392,47 @@ class TestOrchestrator:
         assert [t.name for t in orchestrator.runnable()] == ["a"]
 
 
+class TestSchedulerEquivalence:
+    """``can_run`` checks the revision compare before the dependency query;
+    the runnable set must be what the query-first order gives."""
+
+    def test_bootstrap_runnable_sets_match_the_reference(self, monkeypatch):
+        from repro.scenarios.synth import SynthConfig
+        from repro.service.session import WranglingSession
+
+        session = WranglingSession.from_scenario(
+            SynthConfig(family="product_catalog", entities=60, seed=3)
+        )
+        wrangler = session.wrangler
+        kb = wrangler.kb
+        registry = wrangler.orchestrator.registry.all()
+        queries = []
+        query = kb.query
+
+        def counting_query(*args, **kwargs):
+            queries.append(args)
+            return query(*args, **kwargs)
+
+        steps = unchanged_checks = 0
+        while True:
+            reference = [
+                t for t in registry if t.satisfied(kb) and t.inputs_changed_since_last_run(kb)
+            ]
+            assert wrangler.orchestrator.runnable() == reference
+            with monkeypatch.context() as patch:
+                patch.setattr(kb, "query", counting_query)
+                for transducer in registry:
+                    if not transducer.inputs_changed_since_last_run(kb):
+                        assert not transducer.can_run(kb)
+                        unchanged_checks += 1
+            assert queries == []
+            if wrangler.step() is None:
+                break
+            steps += 1
+        assert steps > 10
+        assert unchanged_checks > steps
+
+
 class TestTrace:
     def make_step(self, index: int, name: str, phase: str = "") -> TraceStep:
         return TraceStep(index=index, transducer=name, activity="matching", runnable=(name,),

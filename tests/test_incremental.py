@@ -532,7 +532,7 @@ class TestIncrementalProperty:
     )
     @given(
         family=st.sampled_from(
-            ["product_catalog", "sensor_log", "org_directory", "shipment_tracking"]
+            ["product_catalog", "sensor_log", "org_directory", "shipment_tracking", "real_estate"]
         ),
         seed=st.integers(min_value=0, max_value=10_000),
         entities=st.integers(min_value=50, max_value=140),

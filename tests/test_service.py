@@ -11,6 +11,7 @@ rate limiting) and the deprecation shims on the old ``Wrangler`` surface.
 from __future__ import annotations
 
 import pickle
+import threading
 import warnings
 
 import pytest
@@ -387,12 +388,23 @@ class TestJobQueue:
         with pytest.raises(KeyError, match="unknown session"):
             service.submit("ghost", RunRequest())
 
-    def test_cancel_only_pending_jobs(self, service):
+    def test_cancel_only_pending_jobs(self, service, monkeypatch):
         sess = service.store.create(tiny_config(seed=24))
+        # The first job waits at a gate until the cancels are sent, so the
+        # queued jobs are still pending however fast a round runs.
+        gate = threading.Event()
+        handle = sess.handle
+
+        def gated_handle(request):
+            gate.wait(timeout=60)
+            return handle(request)
+
+        monkeypatch.setattr(sess, "handle", gated_handle)
         first = service.submit(sess.session_id, RunRequest(phase="bootstrap"))
         queued = [service.submit(sess.session_id, SimulateRequest(budget=2))
                   for _ in range(4)]
         cancelled = [job for job in queued if service.cancel(job.job_id)]
+        gate.set()
         assert cancelled, "expected at least one still-pending job to cancel"
         for job in cancelled:
             record = service.wait(job.job_id, timeout=60)
