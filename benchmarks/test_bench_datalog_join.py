@@ -10,7 +10,7 @@ Three workloads exercise the index paths the architecture leans on:
 
 Sizes span 10²–10⁵ tuples. The indexed engine is timed with
 pytest-benchmark at every size; the A/B tests additionally run the
-``indexed=False`` escape hatch, assert byte-identical models/query answers,
+``indexed=False`` reference evaluator, assert byte-identical models/query answers,
 and assert the ≥10× speedup at the largest A/B size (the naive engine is
 quadratic, so it is only exercised at sizes where it finishes in seconds).
 

@@ -36,6 +36,7 @@ from repro.fusion.duplicates import DuplicateDetectorConfig
 from repro.incremental.validate import _prepare
 from repro.quality.cfd_learning import CFDLearnerConfig
 from repro.scenarios.synth import SynthConfig, generate_synthetic
+from repro.service.api import FeedbackRequest
 from repro.wrangler.config import WranglerConfig
 
 SMOKE = os.environ.get("BENCH_SMOKE", "") not in ("", "0")
@@ -96,9 +97,9 @@ def _run_case(family: str) -> list[dict]:
             strategy="targeted",
             id_prefix=f"b{round_number}",
         )
-        outcome = session.apply_feedback(
-            annotations, incremental=True, evaluate=False
-        ).details["incremental"]
+        outcome = session.session().feedback(
+            FeedbackRequest(annotations=tuple(annotations), incremental=True, evaluate=False)
+        ).incremental
 
         started = time.perf_counter()
         fast = session.evaluate()

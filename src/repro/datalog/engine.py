@@ -167,8 +167,8 @@ class Engine:
 
     ``indexed=True`` (the default) enables hash-indexed joins, the
     most-bound-first join planner and indexed negation probes.
-    ``indexed=False`` reproduces the original nested-loop evaluation and is
-    kept as an escape hatch for A/B testing; both modes compute identical
+    ``indexed=False`` is the nested-loop reference evaluator the tests
+    compare every indexed model against; both modes compute identical
     models.
     """
 
@@ -489,19 +489,21 @@ def _sort_key(row: tuple) -> tuple:
     return tuple((str(type(v).__name__), str(v)) for v in row)
 
 
-def evaluate(program: Program | str,
-             edb: Database | Mapping[str, Iterable[tuple]] | None = None,
-             *, indexed: bool = True) -> Database:
+def evaluate(
+    program: Program | str, edb: Database | Mapping[str, Iterable[tuple]] | None = None
+) -> Database:
     """One-shot helper: parse/evaluate ``program`` and return the full model."""
     if isinstance(program, str):
         program = Program.parse(program)
-    return Engine(program, indexed=indexed).run(edb)
+    return Engine(program).run(edb)
 
 
-def query(program: Program | str, goal: Atom | str,
-          edb: Database | Mapping[str, Iterable[tuple]] | None = None,
-          *, indexed: bool = True) -> list[tuple]:
+def query(
+    program: Program | str,
+    goal: Atom | str,
+    edb: Database | Mapping[str, Iterable[tuple]] | None = None,
+) -> list[tuple]:
     """One-shot helper: evaluate ``program`` and return tuples matching ``goal``."""
     if isinstance(program, str):
         program = Program.parse(program)
-    return Engine(program, indexed=indexed).query(goal, edb)
+    return Engine(program).query(goal, edb)

@@ -14,22 +14,80 @@ immediately as well as through re-orchestration.
 
 from __future__ import annotations
 
+from typing import Collection, Iterable, Sequence
+
 from repro.core.facts import Predicates
 from repro.core.knowledge_base import KnowledgeBase
 from repro.core.transducer import Activity, Transducer, TransducerResult
 from repro.feedback.assimilation import FeedbackAssimilator
 from repro.incremental.state import incremental_state
 from repro.mapping.model import PROVENANCE_ROW_ID
-from repro.mapping.transducers import FEEDBACK_PENALTIES_ARTIFACT_KEY, MAPPINGS_ARTIFACT_KEY
+from repro.mapping.transducers import (
+    FEEDBACK_PENALTIES_ARTIFACT_KEY,
+    MAPPINGS_ARTIFACT_KEY,
+    selected_mapping,
+)
 from repro.provenance.feedback import (
     LINEAGE_PENALTIES_ARTIFACT_KEY,
     LineageFeedbackPropagator,
 )
-from repro.provenance.model import OPERATOR_FEEDBACK, provenance_store
+from repro.provenance.model import OPERATOR_FEEDBACK, ProvenanceStore, provenance_store
 from repro.quality.transducers import quality_stats_stash
 from repro.relational.types import is_null
 
-__all__ = ["MappingEvaluationTransducer", "FeedbackRepairTransducer"]
+__all__ = [
+    "MappingEvaluationTransducer",
+    "FeedbackRepairTransducer",
+    "apply_row_feedback",
+    "incorrect_marks",
+]
+
+
+def incorrect_marks(feedback_rows: Iterable[tuple]) -> dict[str, dict[str, set[str]]]:
+    """relation → row key → attributes marked incorrect (``*`` marks the tuple)."""
+    marks: dict[str, dict[str, set[str]]] = {}
+    for _fid, relation, row_key, attribute, verdict in feedback_rows:
+        if verdict == Predicates.INCORRECT:
+            marks.setdefault(relation, {}).setdefault(str(row_key), set()).add(str(attribute))
+    return marks
+
+
+def apply_row_feedback(
+    store: ProvenanceStore,
+    relation: str,
+    row_key: str,
+    row: tuple,
+    names: Sequence[str],
+    incorrect: Collection[str],
+) -> tuple[tuple | None, int]:
+    """The per-row feedback rule; returns (row, cells cleared).
+
+    A tuple marked incorrect is dropped (the returned row is None); every
+    non-null cell marked incorrect is cleared, and its lineage keeps the
+    prior witnesses: the cell is empty now, but the lineage of the value
+    the user rejected is what feedback assimilation must blame.
+    """
+    if not incorrect:
+        return row, 0
+    if Predicates.ANY_ATTRIBUTE in incorrect:
+        store.record_drop(relation, row_key, reason="feedback: tuple marked incorrect")
+        return None, 0
+    mutable = list(row)
+    cleared = 0
+    for position, attribute in enumerate(names):
+        if attribute in incorrect and not is_null(mutable[position]):
+            mutable[position] = None
+            cleared += 1
+            prior = store.cell_lineage(relation, row_key, attribute)
+            store.record_cell(
+                relation,
+                row_key,
+                attribute,
+                operator=OPERATOR_FEEDBACK,
+                witnesses=prior.witnesses if prior else (),
+                detail="cleared: marked incorrect",
+            )
+    return (tuple(mutable) if cleared else row), cleared
 
 
 class MappingEvaluationTransducer(Transducer):
@@ -49,18 +107,13 @@ class MappingEvaluationTransducer(Transducer):
 
     def run(self, kb: KnowledgeBase) -> TransducerResult:
         candidates = kb.get_artifact(MAPPINGS_ARTIFACT_KEY, {})
-        selected_mapping = None
-        for mapping_id, rank in kb.facts(Predicates.MAPPING_SELECTED):
-            if rank == 1 and mapping_id in candidates:
-                selected_mapping = candidates[mapping_id]
-                break
         store = provenance_store(kb)
         # One lineage-targeted attribution pass: it yields both the
         # per-assignment evidence (reused by the assimilator below) and the
         # per-mapping penalties naming exactly the implicated candidates.
         propagation = LineageFeedbackPropagator().collect(kb, store, candidates)
         evidence = self._assimilator.collect_evidence(
-            kb, selected_mapping, store, propagation=propagation
+            kb, selected_mapping(kb), store, propagation=propagation
         )
         source_rows = self._assimilator.source_row_counts(kb)
         revised = self._assimilator.revise_matches(kb, evidence, source_rows)
@@ -115,11 +168,7 @@ class FeedbackRepairTransducer(Transducer):
             # Whatever this pass applies (or skips as already applied) is
             # reflected in the materialised tables from here on.
             state.observe_feedback_applied({str(row[0]) for row in feedback_rows})
-        by_relation: dict[str, list[tuple[str, str]]] = {}
-        for _fid, relation, row_key, attribute, verdict in feedback_rows:
-            if verdict != Predicates.INCORRECT:
-                continue
-            by_relation.setdefault(relation, []).append((str(row_key), attribute))
+        by_relation = incorrect_marks(feedback_rows)
         if not by_relation:
             return TransducerResult(notes="no negative feedback to apply")
         cells_cleared = 0
@@ -127,7 +176,7 @@ class FeedbackRepairTransducer(Transducer):
         tables_written = []
         store = provenance_store(kb)
         stash = quality_stats_stash(kb, create=False)
-        for relation, annotations in by_relation.items():
+        for relation, marks in by_relation.items():
             if not kb.has_table(relation):
                 continue
             table = kb.get_table(relation)
@@ -144,48 +193,25 @@ class FeedbackRepairTransducer(Transducer):
                 entry = None
             stats = entry.stats if entry is not None else None
             row_id_position = table.schema.position(PROVENANCE_ROW_ID)
-            cell_marks = {
-                (row_key, attribute)
-                for row_key, attribute in annotations
-                if attribute != Predicates.ANY_ATTRIBUTE
-            }
-            row_marks = {
-                row_key
-                for row_key, attribute in annotations
-                if attribute == Predicates.ANY_ATTRIBUTE
-            }
+            names = table.schema.attribute_names
             new_rows = []
             changed = False
             for values in table.tuples():
                 row_key = str(values[row_id_position])
-                if row_key in row_marks:
+                new_values, cleared = apply_row_feedback(
+                    store, relation, row_key, values, names, marks.get(row_key, ())
+                )
+                if new_values is None:
                     rows_dropped += 1
                     changed = True
-                    store.record_drop(relation, row_key, reason="feedback: tuple marked incorrect")
                     if stats is not None:
                         stats.remove_row(values)
                     continue
-                mutable = list(values)
-                for position, attribute in enumerate(table.schema.attribute_names):
-                    if (row_key, attribute) in cell_marks and not is_null(mutable[position]):
-                        mutable[position] = None
-                        cells_cleared += 1
-                        changed = True
-                        # Keep the prior witnesses: the cell is cleared, but
-                        # the lineage of the value the user rejected is what
-                        # feedback assimilation must blame.
-                        prior = store.cell_lineage(relation, row_key, attribute)
-                        store.record_cell(
-                            relation,
-                            row_key,
-                            attribute,
-                            operator=OPERATOR_FEEDBACK,
-                            witnesses=prior.witnesses if prior else (),
-                            detail="cleared: marked incorrect",
-                        )
-                new_values = tuple(mutable)
-                if stats is not None and new_values != values:
-                    stats.replace_row(values, new_values)
+                if cleared:
+                    cells_cleared += cleared
+                    changed = True
+                    if stats is not None:
+                        stats.replace_row(values, new_values)
                 new_rows.append(new_values)
             if changed:
                 rewritten = table.replace_rows(new_rows)

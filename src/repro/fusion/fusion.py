@@ -106,8 +106,14 @@ class DataFuser:
             conflicts += cluster_conflicts
             fused_rows.append(merged)
             if track:
+                member_keys = [row_keys[m] for m in members]
                 self._record_merge(
-                    provenance, table.name, names, merged, members, row_keys, winners
+                    provenance,
+                    table.name,
+                    names,
+                    member_keys,
+                    _survivor_key(names, merged, member_keys),
+                    winners,
                 )
         fused_table = table.replace_rows(fused_rows)
         return FusionResult(
@@ -125,45 +131,31 @@ class DataFuser:
         member_keys: Sequence[str],
         *,
         provenance: ProvenanceStore | None = None,
-    ) -> tuple[tuple, int]:
+    ) -> tuple[tuple, str]:
         """Fuse one duplicate cluster outside a full-table pass.
 
         ``member_rows`` must be in table order (the first member is the
-        surviving position). Returns ``(merged row, conflicts resolved)``;
+        surviving position). Returns ``(merged row, surviving row key)``;
         with a provenance store, the members' lineage is merged and per-cell
         winners recorded exactly as :meth:`fuse` does. This is the delta
         path of incremental re-wrangling: only dirty clusters re-fuse.
         """
-        merged, conflicts, winners = self._merge(names, list(member_rows))
+        merged, _conflicts, winners = self._merge(names, list(member_rows))
+        kept_key = _survivor_key(names, merged, member_keys)
         if provenance is not None and provenance.enabled:
-            self._record_merge(
-                provenance,
-                relation,
-                names,
-                merged,
-                list(range(len(member_keys))),
-                list(member_keys),
-                winners,
-            )
-        return merged, conflicts
+            self._record_merge(provenance, relation, names, list(member_keys), kept_key, winners)
+        return merged, kept_key
 
     def _record_merge(
         self,
         provenance: ProvenanceStore,
         relation: str,
         names: Sequence[str],
-        merged: tuple,
-        members: Sequence[int],
-        row_keys: Sequence[str],
+        member_keys: Sequence[str],
+        kept_key: str,
         winners: Mapping[int, list[int]],
     ) -> None:
         """Record the lineage of one fused cluster row."""
-        member_keys = [row_keys[m] for m in members]
-        if ROW_KEY_ATTRIBUTE in names:
-            kept_value = merged[list(names).index(ROW_KEY_ATTRIBUTE)]
-            kept_key = str(kept_value) if kept_value is not None else member_keys[0]
-        else:
-            kept_key = member_keys[0]
         member_lineages = {
             key: provenance.tuple_lineage(relation, key) for key in member_keys
         }
@@ -257,3 +249,13 @@ class DataFuser:
         if isinstance(value, float) and value.is_integer():
             return int(value)
         return value
+
+
+def _survivor_key(names: Sequence[str], merged: tuple, member_keys: Sequence[str]) -> str:
+    """The row key a fused cluster keeps: its merged ``_row_id``, else the
+    first member's key."""
+    if ROW_KEY_ATTRIBUTE in names:
+        kept_value = merged[list(names).index(ROW_KEY_ATTRIBUTE)]
+        if kept_value is not None:
+            return str(kept_value)
+    return member_keys[0]

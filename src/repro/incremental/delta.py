@@ -137,7 +137,7 @@ class ChangeSet:
     """An immutable bundle of revision deltas."""
 
     deltas: tuple[Delta, ...] = ()
-    #: Free-form origin note ("apply_feedback round 3", "CFD refresh", ...).
+    #: Free-form origin note ("feedback round 3", "CFD refresh", ...).
     origin: str = ""
     details: dict[str, Any] = field(default_factory=dict, compare=False)
 

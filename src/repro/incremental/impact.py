@@ -273,25 +273,15 @@ class ImpactIndex:
         """Invalidate the cached cluster map after a pair re-score."""
         self._clusters.pop(relation, None)
 
-    def apply_change_set(
-        self, change_set: ChangeSet, touched: Mapping[str, Iterable[str]] | None = None
-    ) -> int:
+    def apply_change_set(self, touched: Mapping[str, Iterable[str]]) -> int:
         """Bring the index up to date after a patch, without re-inverting.
 
         ``touched`` names, per result relation, every row key whose lineage
         the patch may have rewritten (re-derived, fused, repaired, dropped
         or appended rows — the engine collects them as it patches); the
         witness/repair maps are updated row-by-row and the cluster caches
-        of those relations are refreshed. Without it, every tracked
-        relation the change set can affect has all of its rows re-indexed
-        from current lineage — conservative, but still no full inversion.
+        of those relations are refreshed.
         """
-        if touched is None:
-            touched = {
-                relation: list(state.order)
-                for relation, state in self._state.relations.items()
-                if change_set.restrict_to_table(relation)
-            }
         updated = 0
         for relation, row_keys in touched.items():
             updated += self.update_rows(relation, row_keys)
@@ -299,11 +289,6 @@ class ImpactIndex:
         return updated
 
     # -- lookups --------------------------------------------------------------
-
-    def downstream_of_ref(self, relation: str, row_id: str) -> set[tuple[str, str]]:
-        """(result relation, row key) pairs supported by one base tuple."""
-        self._build()
-        return set(self._by_ref.get((relation, row_id), ()))
 
     def downstream_of_source(self, relation: str) -> set[tuple[str, str]]:
         """(result relation, row key) pairs supported by any tuple of a source."""

@@ -33,6 +33,7 @@ from typing import Any, Mapping
 from repro.core.facts import Predicates, metric_fact, result_fact
 from repro.core.knowledge_base import KnowledgeBase
 from repro.core.registry import TransducerRegistry
+from repro.feedback.transducers import apply_row_feedback, incorrect_marks
 from repro.fusion.duplicates import DuplicateDetector
 from repro.fusion.fusion import DataFuser
 from repro.fusion.transducers import DUPLICATES_ARTIFACT_KEY
@@ -46,8 +47,8 @@ from repro.incremental.state import (
     mapping_source_volumes,
 )
 from repro.mapping.execution import MappingExecutor
-from repro.mapping.transducers import MAPPINGS_ARTIFACT_KEY, result_relation_name
-from repro.provenance.model import OPERATOR_FEEDBACK, ProvenanceStore, provenance_store
+from repro.mapping.transducers import result_relation_name, selected_mapping
+from repro.provenance.model import ProvenanceStore, provenance_store
 from repro.quality.cfd_learning import LearnedCFDs
 from repro.quality.repair import CFDRepairer
 from repro.quality.transducers import (
@@ -56,8 +57,7 @@ from repro.quality.transducers import (
     quality_context_token,
     quality_stats_stash,
 )
-from repro.relational.table import ROW_KEY_ATTRIBUTE, Table
-from repro.relational.types import is_null
+from repro.relational.table import Table
 
 __all__ = ["IncrementalOutcome", "IncrementalWrangler"]
 
@@ -233,7 +233,8 @@ class IncrementalWrangler:
         # threshold drops assignments): a changed leaf re-executes its whole
         # driving-source segment; added or removed leaves change the row
         # order and fall back.
-        selected = self._selected_mappings()
+        winner = selected_mapping(kb)
+        selected = {result_relation_name(winner.target_relation): winner} if winner else {}
         revised_leaves: dict[str, set[str]] = {}
         for relation, rel_state in state.relations.items():
             mapping = selected.get(relation)
@@ -366,7 +367,7 @@ class IncrementalWrangler:
             # The patched rows' lineage changed: splice their entries into
             # the inverted maps so the next resolution (including phase D of
             # this very apply) reads current provenance without re-inverting.
-            index.apply_change_set(change_set, phase_touched)
+            index.apply_change_set(phase_touched)
             for relation, keys in phase_touched.items():
                 touched_lineage.setdefault(relation, set()).update(keys)
         except Exception as exc:  # noqa: BLE001 — any patch failure must fall back
@@ -533,20 +534,6 @@ class IncrementalWrangler:
             return None
         return {source for source, sig in new_leaves.items() if old_leaves[source] != sig}
 
-    # -- selection ------------------------------------------------------------
-
-    def _selected_mappings(self) -> dict[str, Any]:
-        """result relation → currently selected SchemaMapping."""
-        kb = self._kb
-        candidates = kb.get_artifact(MAPPINGS_ARTIFACT_KEY, {})
-        selected: dict[str, Any] = {}
-        for mapping_id, rank in kb.facts(Predicates.MAPPING_SELECTED):
-            if rank != 1 or mapping_id not in candidates:
-                continue
-            mapping = candidates[mapping_id]
-            selected[result_relation_name(mapping.target_relation)] = mapping
-        return selected
-
     # -- the patch ------------------------------------------------------------
 
     def _patch_relation(
@@ -582,7 +569,7 @@ class IncrementalWrangler:
         recompute &= set(rel_state.base)
 
         # (b) per-row pass 1: base → repair → feedback (the pre-fusion rows).
-        feedback_marks = self._feedback_marks(relation)
+        feedback_marks = incorrect_marks(kb.facts(Predicates.FEEDBACK)).get(relation, {})
         learned: LearnedCFDs | None = kb.get_artifact(CFD_ARTIFACT_KEY)
         recompute_order = [key for key in rel_state.order if key in recompute]
         pass1, repaired_cells, dropped = self._derive_prefusion(
@@ -787,21 +774,13 @@ class IncrementalWrangler:
             pass
         store.record_drop(relation, key, reason=reason)
 
-    def _feedback_marks(self, relation: str) -> dict[str, list[tuple[str, str]]]:
-        """row key → [(attribute, verdict)] for this relation's feedback."""
-        marks: dict[str, list[tuple[str, str]]] = {}
-        for _fid, rel, row_key, attribute, verdict in self._kb.facts(Predicates.FEEDBACK):
-            if rel == relation:
-                marks.setdefault(str(row_key), []).append((str(attribute), verdict))
-        return marks
-
     def _derive_prefusion(
         self,
         relation: str,
         rel_state: RelationState,
         keys: list[str],
         learned: LearnedCFDs | None,
-        feedback_marks: Mapping[str, list[tuple[str, str]]],
+        feedback_marks: Mapping[str, set[str]],
         store: ProvenanceStore,
     ) -> tuple[dict[str, tuple], int, set[str]]:
         """Pass 1 for the given keys: base lineage reset → repair → feedback."""
@@ -821,16 +800,9 @@ class IncrementalWrangler:
                 )
         rows = [rel_state.base[key] for key in keys]
         repaired, cells = self._repair_rows(relation, rel_state.schema, rows, learned, store)
-        derived: dict[str, tuple] = {}
-        dropped: set[str] = set()
-        for key, row in zip(keys, repaired):
-            row, row_dropped = self._apply_feedback_row(
-                relation, key, row, rel_state.schema, feedback_marks, store
-            )
-            if row_dropped:
-                dropped.add(key)
-            else:
-                derived[key] = row
+        derived, dropped = self._feedback_pass(
+            relation, rel_state.schema, keys, repaired, feedback_marks, store
+        )
         return derived, cells, dropped
 
     def _repair_rows(
@@ -851,46 +823,29 @@ class IncrementalWrangler:
         )
         return result.table.tuples(), len(result.actions)
 
-    def _apply_feedback_row(
-        self,
+    @staticmethod
+    def _feedback_pass(
         relation: str,
-        key: str,
-        row: tuple,
         schema,
-        feedback_marks: Mapping[str, list[tuple[str, str]]],
+        keys: list[str],
+        rows: list[tuple],
+        feedback_marks: Mapping[str, set[str]],
         store: ProvenanceStore,
-    ) -> tuple[tuple, bool]:
-        """Apply this key's annotations to one row (cascade semantics)."""
-        marks = feedback_marks.get(key)
-        if not marks:
-            return row, False
-        if any(
-            attribute == Predicates.ANY_ATTRIBUTE and verdict == Predicates.INCORRECT
-            for attribute, verdict in marks
-        ):
-            store.record_drop(relation, key, reason="feedback: tuple marked incorrect")
-            return row, True
-        cleared = {
-            attribute
-            for attribute, verdict in marks
-            if verdict == Predicates.INCORRECT and attribute != Predicates.ANY_ATTRIBUTE
-        }
-        if not cleared:
-            return row, False
-        mutable = list(row)
-        for position, attribute in enumerate(schema.attribute_names):
-            if attribute in cleared and not is_null(mutable[position]):
-                mutable[position] = None
-                prior = store.cell_lineage(relation, key, attribute)
-                store.record_cell(
-                    relation,
-                    key,
-                    attribute,
-                    operator=OPERATOR_FEEDBACK,
-                    witnesses=prior.witnesses if prior else (),
-                    detail="cleared: marked incorrect",
-                )
-        return tuple(mutable), False
+    ) -> tuple[dict[str, tuple], set[str]]:
+        """The pipeline's per-row feedback rule over a row subset; returns
+        (kept rows by key, dropped keys)."""
+        names = schema.attribute_names
+        kept: dict[str, tuple] = {}
+        dropped: set[str] = set()
+        for key, row in zip(keys, rows):
+            row, _cleared = apply_row_feedback(
+                store, relation, key, row, names, feedback_marks.get(key, ())
+            )
+            if row is None:
+                dropped.add(key)
+            else:
+                kept[key] = row
+        return kept, dropped
 
     def _repair_pairs(self, rel_state: RelationState, touched: set[str]) -> None:
         """Drop pairs touching ``touched`` keys and re-score their candidates.
@@ -927,7 +882,7 @@ class IncrementalWrangler:
         affected: set[str],
         new_clusters: Mapping[str, frozenset],
         learned: LearnedCFDs | None,
-        feedback_marks: Mapping[str, list[tuple[str, str]]],
+        feedback_marks: Mapping[str, set[str]],
         store: ProvenanceStore,
         *,
         two_pass: bool,
@@ -960,10 +915,9 @@ class IncrementalWrangler:
                 final[members[0]] = rel_state.prefusion[members[0]]
                 continue
             member_rows = [rel_state.prefusion[member] for member in members]
-            merged, _conflicts = self._fuser.fuse_cluster(
+            merged, kept = self._fuser.fuse_cluster(
                 relation, names, member_rows, members, provenance=store
             )
-            kept = self._kept_key(names, merged, members)
             final[kept] = merged
             refused += 1
 
@@ -976,25 +930,9 @@ class IncrementalWrangler:
         keys = [key for key in rel_state.order if key in final]
         rows = [final[key] for key in keys]
         repaired, cells = self._repair_rows(relation, schema, rows, learned, store)
-        dropped: set[str] = set()
-        for key, row in zip(keys, repaired):
-            row, row_dropped = self._apply_feedback_row(
-                relation, key, row, schema, feedback_marks, store
-            )
-            if row_dropped:
-                dropped.add(key)
-            else:
-                final[key] = row
+        kept, dropped = self._feedback_pass(relation, schema, keys, repaired, feedback_marks, store)
+        final.update(kept)
         return final, refused, cells, dropped
-
-    @staticmethod
-    def _kept_key(names: list[str], merged: tuple, member_keys: list[str]) -> str:
-        """The surviving key of a fused cluster (the fuser's convention)."""
-        if ROW_KEY_ATTRIBUTE in names:
-            value = merged[names.index(ROW_KEY_ATTRIBUTE)]
-            if value is not None:
-                return str(value)
-        return member_keys[0]
 
     def _current_rows(self, relation: str) -> dict[str, tuple]:
         """The current final table, keyed by row key."""

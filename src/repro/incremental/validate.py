@@ -3,11 +3,12 @@
 The incremental engine is an optimisation, not a semantics change. This
 module checks exactly that, the way the CQA literature frames incremental
 repair correctness: run the same scenario twice — one session applying each
-feedback round through :meth:`Wrangler.apply_feedback(incremental=True)
-<repro.wrangler.pipeline.Wrangler.apply_feedback>`, one through the full
-orchestrated re-run — and assert after every round that the materialised
-result tables are row-for-row equal (same rows, same order, same values),
-the same mapping is selected, and the revised match scores agree.
+feedback round through the incremental engine (the path
+:meth:`WranglingSession.feedback <repro.service.session.WranglingSession.feedback>`
+takes), one through the full orchestrated re-run — and assert after every
+round that the materialised result tables are row-for-row equal (same rows,
+same order, same values), the same mapping is selected, and the revised
+match scores agree.
 
 Used three ways:
 

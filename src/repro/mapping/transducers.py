@@ -39,6 +39,7 @@ __all__ = [
     "MappingSelectionTransducer",
     "ResultMaterialisationTransducer",
     "result_relation_name",
+    "selected_mapping",
 ]
 
 #: Artifact key for the dictionary of candidate mappings (id → SchemaMapping).
@@ -55,6 +56,19 @@ BASE_SCORES_ARTIFACT_KEY = "mapping_base_scores"
 def result_relation_name(target_relation: str) -> str:
     """Canonical name of the materialised result table for a target relation."""
     return f"{target_relation}_result"
+
+
+def selected_mapping(kb: KnowledgeBase) -> SchemaMapping | None:
+    """The rank-1 candidate mapping (None before selection).
+
+    Mapping selection retracts every ``mapping_selected`` fact and asserts
+    exactly one at rank 1, so this is the one selected mapping.
+    """
+    candidates = kb.get_artifact(MAPPINGS_ARTIFACT_KEY, {})
+    for mapping_id, rank in kb.facts(Predicates.MAPPING_SELECTED):
+        if rank == 1 and mapping_id in candidates:
+            return candidates[mapping_id]
+    return None
 
 
 class MappingGenerationTransducer(Transducer):
@@ -331,15 +345,10 @@ class ResultMaterialisationTransducer(Transducer):
     input_dependencies = ("mapping_selected(M, 1)",)
 
     def run(self, kb: KnowledgeBase) -> TransducerResult:
-        candidates: dict[str, SchemaMapping] = kb.get_artifact(MAPPINGS_ARTIFACT_KEY, {})
-        selected_id = None
-        for mapping_id, rank in kb.facts(Predicates.MAPPING_SELECTED):
-            if rank == 1:
-                selected_id = mapping_id
-                break
-        if selected_id is None or selected_id not in candidates:
+        mapping = selected_mapping(kb)
+        if mapping is None:
             return TransducerResult(notes="no selected mapping to materialise")
-        mapping = candidates[selected_id]
+        selected_id = mapping.mapping_id
         target_schema = kb.schema_of(mapping.target_relation)
         executor = MappingExecutor(kb.catalog, provenance=provenance_store(kb))
         result_name = result_relation_name(mapping.target_relation)

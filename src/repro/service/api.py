@@ -1,10 +1,8 @@
 """The typed request/response surface shared by every wrangling entry point.
 
-The pay-as-you-go loop used to be spread across ``Wrangler`` methods grown
-by accretion (``run`` / ``apply_feedback`` / ``append_source_rows`` /
-``evaluate(use_stats=...)`` — each with its own kwargs). This module re-cuts
-that surface into request and response dataclasses that are the *same
-objects* whether a round arrives in process
+Every round of the pay-as-you-go loop (run, feedback, append, explain,
+evaluate, query) is a request or response dataclass here, and these are the
+*same objects* whether a round arrives in process
 (:class:`~repro.service.session.WranglingSession`), over the CLI
 (:mod:`repro.service.cli`) or over HTTP (:mod:`repro.service.server`):
 

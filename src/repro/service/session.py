@@ -64,8 +64,8 @@ def _new_session_id() -> str:
 class WranglingSession:
     """One persistent data context, driven by typed requests.
 
-    Wraps a :class:`~repro.wrangler.pipeline.Wrangler` (whose pre-session
-    methods remain as deprecation shims) and is what
+    Wraps a :class:`~repro.wrangler.pipeline.Wrangler` (the session is the
+    only surface for feedback, append and change-set rounds) and is what
     :meth:`Wrangler.session() <repro.wrangler.pipeline.Wrangler.session>`
     returns.
     """

@@ -33,7 +33,6 @@ import multiprocessing
 import os
 import threading
 import time
-import warnings
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Mapping, Sequence
@@ -75,10 +74,7 @@ class BatchConfig:
     Session-level knobs (step budget, provenance/incremental toggles, the
     session seed) live in one canonical place — the nested
     :class:`~repro.wrangler.config.WranglerConfig` — shared with the
-    interactive and service entry points. The old flat spellings
-    (``max_steps``, ``track_provenance``, ``incremental_feedback``) are
-    still accepted, with a :class:`DeprecationWarning`, and fold into
-    ``wrangler``.
+    interactive and service entry points.
     """
 
     #: Worker count (None → ``os.cpu_count()``, capped at the batch size).
@@ -98,32 +94,6 @@ class BatchConfig:
     #: selects the feedback-loop path: on, rounds are patched by the
     #: incremental engine; off, each round re-orchestrates fully.
     wrangler: WranglerConfig = field(default_factory=_default_batch_wrangler)
-    #: Deprecated alias of ``wrangler.enable_incremental``.
-    incremental_feedback: bool | None = None
-    #: Deprecated alias of ``wrangler.max_steps``.
-    max_steps: int | None = None
-    #: Deprecated alias of ``wrangler.track_provenance``.
-    track_provenance: bool | None = None
-
-    def __post_init__(self) -> None:
-        folded = self.wrangler
-        for old, new in (("incremental_feedback", "enable_incremental"),
-                         ("max_steps", "max_steps"),
-                         ("track_provenance", "track_provenance")):
-            value = getattr(self, old)
-            if value is None:
-                continue
-            warnings.warn(
-                f"BatchConfig.{old} is deprecated; pass "
-                f"wrangler=WranglerConfig({new}=...) instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            folded = replace(folded, **{new: value})
-            # Reset the alias so dataclasses.replace() on this config does
-            # not warn again (the canonical field now carries the value).
-            object.__setattr__(self, old, None)
-        object.__setattr__(self, "wrangler", folded)
 
     def resolve_workers(self, batch_size: int) -> int:
         """The effective worker count for ``batch_size`` scenarios."""
@@ -393,18 +363,9 @@ def wrangle_scenario(scenario: Scenario, batch: BatchConfig | None = None) -> Sc
                 strategy="targeted",
                 id_prefix="sim" if round_number == 0 else f"sim_r{round_number}",
             )
-            if batch.wrangler.enable_incremental:
-                result = wrangler._apply_feedback(
-                    annotations,
-                    incremental=True,
-                    ground_truth=truth,
-                    ground_truth_key=key,
-                )
-                if result.details.get("incremental", {}).get("applied"):
-                    incremental_patches += 1
-            else:
-                wrangler.add_feedback(annotations)
-                result = wrangler.run("feedback", ground_truth=truth, ground_truth_key=key)
+            result = wrangler._apply_feedback(annotations, ground_truth=truth, ground_truth_key=key)
+            if result.details.get("incremental", {}).get("applied"):
+                incremental_patches += 1
             phases.append("feedback" if round_number == 0 else f"feedback{round_number + 1}")
 
     quality = dict(result.quality.as_dict()) if result.quality is not None else {}

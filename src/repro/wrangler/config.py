@@ -50,7 +50,7 @@ class WranglerConfig:
     #: benchmark the pipeline without lineage overhead.
     track_provenance: bool = True
     #: Whether the incremental re-wrangling engine keeps pipeline snapshots
-    #: so :meth:`~repro.wrangler.pipeline.Wrangler.apply_feedback` can patch
+    #: so session feedback and append rounds can patch
     #: results in place instead of re-running the whole pipeline. Requires
     #: provenance tracking; the engine falls back to full runs without it.
     enable_incremental: bool = True

@@ -25,7 +25,6 @@ Typical usage::
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
@@ -63,6 +62,7 @@ from repro.mapping.transducers import (
     ResultMaterialisationTransducer,
     SourceSelectionTransducer,
     result_relation_name,
+    selected_mapping,
 )
 from repro.matching.transducers import InstanceMatchingTransducer, SchemaMatchingTransducer
 from repro.provenance.explain import LineageTree, explain_result, render_lineage
@@ -94,16 +94,6 @@ __all__ = [
 #: Artifact key for the per-query certain-vs-repaired agreement records
 #: written by :meth:`Wrangler.query` in ``mode="both"``.
 CQA_AGREEMENT_ARTIFACT_KEY = "cqa_agreement"
-
-
-def _deprecated(old: str, new: str) -> None:
-    """One deprecation voice for the pre-session Wrangler surface."""
-    warnings.warn(
-        f"Wrangler.{old} is deprecated; use {new} (see README 'Migrating to "
-        f"the session API')",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 @dataclass(frozen=True)
@@ -206,7 +196,7 @@ class Wrangler:
         self._provenance = provenance_store(self._kb, enabled=self._config.track_provenance)
         # Seed the incremental-state artifact likewise: the pipeline
         # transducers snapshot their intermediate stages into it, which is
-        # what lets apply_feedback patch results instead of re-running.
+        # what lets feedback rounds patch results instead of re-running.
         self._incremental = incremental_state(
             self._kb, enabled=self._config.enable_incremental and self._config.track_provenance
         )
@@ -343,30 +333,6 @@ class Wrangler:
 
     # -- incremental revisions (the cheap side of the feedback loop) -------------
 
-    def apply_feedback(
-        self,
-        annotations: Iterable[Feedback] | None = None,
-        *,
-        incremental: bool | None = None,
-        ground_truth: Table | None = None,
-        ground_truth_key: Sequence[str] = ("postcode", "price"),
-        evaluate: bool = True,
-    ) -> WranglingResult:
-        """Deprecated shim — use ``session().feedback(FeedbackRequest(...))``.
-
-        The behaviour is unchanged (see :meth:`_apply_feedback`); the typed
-        session surface in :mod:`repro.service` is the supported entry point
-        for feedback rounds.
-        """
-        _deprecated("apply_feedback(...)", "WranglingSession.feedback(FeedbackRequest(...))")
-        return self._apply_feedback(
-            annotations,
-            incremental=incremental,
-            ground_truth=ground_truth,
-            ground_truth_key=ground_truth_key,
-            evaluate=evaluate,
-        )
-
     def _apply_feedback(
         self,
         annotations: Iterable[Feedback] | None = None,
@@ -417,25 +383,6 @@ class Wrangler:
             evaluate=evaluate,
         )
 
-    def apply_change_set(
-        self,
-        change_set: ChangeSet,
-        *,
-        phase: str = "revision",
-        ground_truth: Table | None = None,
-        ground_truth_key: Sequence[str] = ("postcode", "price"),
-        evaluate: bool = True,
-    ) -> WranglingResult:
-        """Deprecated shim — use ``session().apply(ChangeSet(...))``."""
-        _deprecated("apply_change_set(...)", "WranglingSession.apply(change_set)")
-        return self._apply_change_set(
-            change_set,
-            phase=phase,
-            ground_truth=ground_truth,
-            ground_truth_key=ground_truth_key,
-            evaluate=evaluate,
-        )
-
     def _apply_change_set(
         self,
         change_set: ChangeSet,
@@ -480,27 +427,6 @@ class Wrangler:
             },
             provenance=self._provenance if self._provenance.enabled else None,
             catalog=self._kb.catalog,
-        )
-
-    def append_source_rows(
-        self,
-        relation: str,
-        rows: Iterable[Sequence],
-        *,
-        incremental: bool | None = None,
-        ground_truth: Table | None = None,
-        ground_truth_key: Sequence[str] = ("postcode", "price"),
-        evaluate: bool = True,
-    ) -> WranglingResult:
-        """Deprecated shim — use ``session().append(AppendRequest(...))``."""
-        _deprecated("append_source_rows(...)", "WranglingSession.append(AppendRequest(...))")
-        return self._append_source_rows(
-            relation,
-            rows,
-            incremental=incremental,
-            ground_truth=ground_truth,
-            ground_truth_key=ground_truth_key,
-            evaluate=evaluate,
         )
 
     def _append_source_rows(
@@ -615,11 +541,7 @@ class Wrangler:
 
     def selected_mapping(self) -> SchemaMapping | None:
         """The currently selected mapping (None before selection)."""
-        candidates = self._kb.get_artifact(MAPPINGS_ARTIFACT_KEY, {})
-        for mapping_id, rank in self._kb.facts(Predicates.MAPPING_SELECTED):
-            if rank == 1 and mapping_id in candidates:
-                return candidates[mapping_id]
-        return None
+        return selected_mapping(self._kb)
 
     def candidate_mappings(self) -> list[SchemaMapping]:
         """All candidate mappings currently known."""

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -48,29 +47,15 @@ class WranglingResult:
         """Number of rows in the result (0 when there is none)."""
         return len(self.table) if self.table is not None else 0
 
-    def explain(self, row: int | str, column: str | None = None, *, catalog=None) -> LineageTree:
+    def explain(self, row: int | str, column: str | None = None) -> LineageTree:
         """Why-provenance of one result cell (or tuple when ``column`` is None).
 
         Identical to :meth:`repro.wrangler.pipeline.Wrangler.explain` (both
         route through :func:`repro.provenance.explain.explain_result`); the
         source-row leaves resolve against the catalog captured with the
-        result. Passing ``catalog=`` explicitly is deprecated — the result
-        already carries it.
+        result.
         """
-        if catalog is not None:
-            warnings.warn(
-                "WranglingResult.explain(catalog=...) is deprecated; the result "
-                "carries its session catalog — call explain(row, column)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        return explain_result(
-            self.table,
-            self.provenance,
-            row,
-            column,
-            catalog=catalog if catalog is not None else self.catalog,
-        )
+        return explain_result(self.table, self.provenance, row, column, catalog=self.catalog)
 
     def explain_text(self, row: int | str, column: str | None = None) -> str:
         """Human-readable rendering of :meth:`explain`."""

@@ -1,9 +1,9 @@
 """Edge cases the hash-indexed join path must preserve.
 
 Every semantic test runs the same program through ``Engine(indexed=True)``
-and the ``indexed=False`` escape hatch and requires identical models, so the
-naive nested-loop evaluation stays the executable specification of the
-indexed one. The remaining tests pin down index lifecycle (lazy build,
+and the ``indexed=False`` reference evaluator and requires identical
+models, so the naive nested-loop evaluation stays the executable
+specification of the indexed one. The remaining tests pin down index lifecycle (lazy build,
 incremental maintenance, invalidation on ``remove``/``copy``/``merge``) and
 the constant-key semantics (``1``/``1.0`` match, ``True`` never matches
 ``1``) in both probe and scan paths.

@@ -23,6 +23,7 @@ from repro.incremental.validate import _prepare, check_incremental
 from repro.quality.transducers import CFD_ARTIFACT_KEY
 from repro.quality.cfd_learning import LearnedCFDs
 from repro.scenarios.synth import SynthConfig, generate_synthetic
+from repro.service.api import AppendRequest, FeedbackRequest
 from repro.wrangler.config import WranglerConfig
 
 
@@ -33,6 +34,20 @@ def tables_equal(left, right):
     return (
         list(left.schema.attribute_names) == list(right.schema.attribute_names)
         and left.tuples() == right.tuples()
+    )
+
+
+def feedback(wrangler, annotations, **options):
+    """One feedback round through the session surface."""
+    return wrangler.session().feedback(
+        FeedbackRequest(annotations=tuple(annotations), **options)
+    )
+
+
+def append(wrangler, relation, rows, **options):
+    """Append source rows through the session surface."""
+    return wrangler.session().append(
+        AppendRequest(relation=relation, rows=tuple(rows), **options)
     )
 
 
@@ -170,8 +185,8 @@ class TestApplyFeedbackIncremental:
                 strategy="targeted",
                 id_prefix=f"t{round_number}",
             )
-            result = incremental.apply_feedback(annotations, incremental=True)
-            outcomes.append(result.details["incremental"])
+            result = feedback(incremental, annotations, incremental=True)
+            outcomes.append(result.incremental)
             full.add_feedback(annotations)
             full.run("feedback")
             assert tables_equal(incremental.result(), full.result()), (
@@ -198,8 +213,8 @@ class TestApplyFeedbackIncremental:
         victim = incremental.result().row_keys()[3]
         annotations = [Feedback("drop1", incremental.result_name(), victim,
                                 Predicates.ANY_ATTRIBUTE, False)]
-        result = incremental.apply_feedback(annotations, incremental=True)
-        assert result.details["incremental"]["applied"]
+        result = feedback(incremental, annotations, incremental=True)
+        assert result.incremental["applied"]
         full.add_feedback(annotations)
         full.run("feedback")
         assert victim not in incremental.result().row_keys()
@@ -214,9 +229,9 @@ class TestApplyFeedbackIncremental:
             full.result(), scenario.ground_truth, scenario.evaluation_key,
             budget=5, seed=1, strategy="targeted", id_prefix="s",
         )
-        result = incremental.apply_feedback(annotations, incremental=True)
-        assert not result.details["incremental"]["applied"]
-        assert "test-staleness" in result.details["incremental"]["reason"]
+        result = feedback(incremental, annotations, incremental=True)
+        assert not result.incremental["applied"]
+        assert "test-staleness" in result.incremental["reason"]
         full.add_feedback(annotations)
         full.run("feedback")
         assert tables_equal(incremental.result(), full.result())
@@ -228,9 +243,9 @@ class TestApplyFeedbackIncremental:
             wrangler.result(), scenario.ground_truth, scenario.evaluation_key,
             budget=3, seed=0, strategy="targeted",
         )
-        result = wrangler.apply_feedback(annotations, incremental=True)
-        assert not result.details["incremental"]["applied"]
-        assert result.table is not None
+        result = feedback(wrangler, annotations, incremental=True)
+        assert not result.incremental["applied"]
+        assert wrangler.result() is not None
 
     def test_positive_feedback_only_keeps_table_untouched(self):
         scenario, incremental, full = twin_sessions(
@@ -246,8 +261,8 @@ class TestApplyFeedbackIncremental:
         ][:5]
         if not annotations:  # pragma: no cover - scenario-dependent
             pytest.skip("no confirmable cells in this scenario")
-        result = incremental.apply_feedback(annotations, incremental=True)
-        assert result.details["incremental"]["applied"]
+        result = feedback(incremental, annotations, incremental=True)
+        assert result.incremental["applied"]
         full.add_feedback(annotations)
         full.run("feedback")
         assert tables_equal(incremental.result(), full.result())
@@ -260,11 +275,11 @@ class TestStructuralDeltas:
         )
         source = scenario.sources[0]
         new_rows = [source.tuples()[0], source.tuples()[1]]
-        result = incremental.append_source_rows(source.name, new_rows, incremental=True)
-        full.append_source_rows(source.name, new_rows, incremental=False)
+        result = append(incremental, source.name, new_rows, incremental=True)
+        append(full, source.name, new_rows, incremental=False)
         assert tables_equal(incremental.result(), full.result())
         assert len(incremental.result()) == len(full.result())
-        outcome = result.details["incremental"]
+        outcome = result.incremental
         if outcome["applied"]:
             assert outcome["rows_rematerialised"] >= len(new_rows)
 
@@ -276,10 +291,10 @@ class TestStructuralDeltas:
         depots = incremental.kb.get_table("depots")
         unknown = ("DEP-9999", "nowhere", "z.nobody")
         before = incremental.result().tuples()
-        result = incremental.append_source_rows("depots", [unknown], incremental=True)
-        assert result.details["incremental"]["applied"]
+        result = append(incremental, "depots", [unknown], incremental=True)
+        assert result.incremental["applied"]
         assert incremental.result().tuples() == before
-        full.append_source_rows("depots", [unknown], incremental=False)
+        append(full, "depots", [unknown], incremental=False)
         assert tables_equal(incremental.result(), full.result())
         assert len(depots) + 1 == len(incremental.kb.get_table("depots"))
 
@@ -297,10 +312,10 @@ class TestStructuralDeltas:
         change_set = ChangeSet(
             (SourceRowsDelta(source.name, appended=tuple(first)),)
         ) | ChangeSet((SourceRowsDelta(source.name, appended=tuple(second)),))
-        result = incremental.apply_change_set(change_set)
-        full.append_source_rows(source.name, first + second, incremental=False)
+        result = incremental.session().apply(change_set)
+        append(full, source.name, first + second, incremental=False)
         assert tables_equal(incremental.result(), full.result())
-        outcome = result.details["incremental"]
+        outcome = result.incremental
         if outcome["applied"]:
             assert outcome["rows_rematerialised"] >= 3
 
@@ -335,13 +350,13 @@ class TestStructuralDeltas:
             wrangler.kb.retract_where(Predicates.CFD, p0=victim.cfd_id)
 
         retire(incremental)
-        result = incremental.apply_change_set(
+        result = incremental.session().apply(
             ChangeSet((RuleDelta(cfd_ids=(victim.cfd_id,), change="removed"),))
         )
         retire(full)
         full.run("revision")
         assert tables_equal(incremental.result(), full.result())
-        outcome = result.details["incremental"]
+        outcome = result.incremental
         if outcome["applied"]:
             assert outcome["rows_recomputed"] > 0
 
@@ -358,8 +373,8 @@ class TestStructuralDeltas:
         wrangler.registry.get("data_fusion")._fuser = DataFuser(
             attribute_policies={"price": FusionPolicy.MAX}
         )
-        result = wrangler.apply_change_set(ChangeSet((FusionPolicyDelta(),)))
-        outcome = result.details["incremental"]
+        result = wrangler.session().apply(ChangeSet((FusionPolicyDelta(),)))
+        outcome = result.incremental
         assert outcome["applied"]
         assert outcome["clusters_refused"] > 0
         after = dict(zip(wrangler.result().row_keys(), wrangler.result().tuples()))
@@ -373,15 +388,59 @@ class TestStructuralDeltas:
             SynthConfig(family="product_catalog", entities=100, seed=1)
         )
         mapping = incremental.selected_mapping()
-        result = incremental.apply_change_set(
+        result = incremental.session().apply(
             ChangeSet(
                 (MappingRevisionDelta(mapping.target_relation, mapping.mapping_id),)
             )
         )
         # A mapping revision is a rebuild, not a patch — and the fallback's
         # full pass must land on the same result.
-        assert not result.details["incremental"]["applied"]
+        assert not result.incremental["applied"]
         assert tables_equal(incremental.result(), full.result())
+
+
+class TestRowRemoval:
+    """Row removals dirty a driving source's whole segment (its positional
+    row ids shift) or every row that may have joined a removed lookup row;
+    the patch must still equal a full re-run, and the rebuilt source
+    statistics must equal a rescan."""
+
+    REMOVED = (1, 4, 5)
+
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    @pytest.mark.parametrize(
+        ("family", "relation"),
+        [
+            ("product_catalog", None),
+            ("shipment_tracking", None),
+            ("real_estate", None),
+            ("shipment_tracking", "depots"),
+        ],
+        ids=["product_catalog-driving", "shipment_tracking-driving",
+             "real_estate-driving", "shipment_tracking-depots"],
+    )
+    def test_removed_rows_match_full_rerun(self, family, relation, seed):
+        scenario, incremental, full = twin_sessions(
+            SynthConfig(family=family, entities=120, seed=seed)
+        )
+        if relation is None:
+            relation = incremental.selected_mapping().leaf_mappings()[0].sources[0]
+        for wrangler in (incremental, full):
+            table = wrangler.kb.get_table(relation)
+            kept = [row for index, row in enumerate(table.tuples()) if index not in self.REMOVED]
+            wrangler.kb.update_table(table.replace_rows(kept))
+        result = incremental.session().apply(
+            ChangeSet((SourceRowsDelta(relation, removed_indexes=self.REMOVED),))
+        )
+        full.run("revision")
+        assert result.incremental["applied"], result.incremental["reason"]
+        assert relation in result.incremental["metrics_patched"]
+        assert tables_equal(incremental.result(), full.result())
+        fast = incremental.evaluate()
+        slow = incremental.evaluate(use_stats=False)
+        assert fast.as_dict() == slow.as_dict()
+        assert fast.attribute_completeness == slow.attribute_completeness
+        assert fast.row_count == slow.row_count
 
 
 class TestIncrementalMetrics:
@@ -398,8 +457,8 @@ class TestIncrementalMetrics:
             strategy="targeted",
             id_prefix=f"m{round_number}",
         )
-        result = session.apply_feedback(annotations, incremental=True, evaluate=False)
-        return result.details["incremental"]
+        result = feedback(session, annotations, incremental=True, evaluate=False)
+        return result.incremental
 
     def assert_stats_exact(self, session):
         fast = session.evaluate()
@@ -441,10 +500,10 @@ class TestIncrementalMetrics:
             CFD_ARTIFACT_KEY, LearnedCFDs(cfds=remaining, witnesses=witnesses)
         )
         session.kb.retract_where(Predicates.CFD, p0=victim.cfd_id)
-        outcome = session.apply_change_set(
+        outcome = session.session().apply(
             ChangeSet((RuleDelta(cfd_ids=(victim.cfd_id,), change="removed"),)),
             evaluate=False,
-        ).details["incremental"]
+        ).incremental
         index = session.incremental.impact
         if outcome["applied"]:
             assert index is not None and index.builds <= 1
@@ -464,8 +523,8 @@ class TestIncrementalMetrics:
         stash = quality_stats_stash(session.kb, create=False)
         assert stash is not None and source in stash.entries
         template = session.kb.get_table(source).tuples()[0]
-        result = session.append_source_rows(source, [template, template])
-        outcome = result.details["incremental"]
+        result = append(session, source, [template, template])
+        outcome = result.incremental
         if outcome["applied"]:
             assert source in outcome["metrics_patched"]
             entry = stash.entries[source]

@@ -478,6 +478,7 @@ class TestStoreSizeStability:
         from repro.feedback.annotations import simulate_feedback
         from repro.incremental.validate import _prepare
         from repro.scenarios.synth import SynthConfig, generate_synthetic
+        from repro.service.api import FeedbackRequest
         from repro.wrangler.config import WranglerConfig
 
         scenario = generate_synthetic(
@@ -492,7 +493,8 @@ class TestStoreSizeStability:
                 wrangler.result(), scenario.ground_truth, scenario.evaluation_key,
                 budget=6, seed=round_number, strategy="targeted",
                 id_prefix=f"g{round_number}")
-            wrangler.apply_feedback(annotations, incremental=True)
+            wrangler.session().feedback(
+                FeedbackRequest(annotations=tuple(annotations), incremental=True))
             stats = store.stats(relation)
             sizes.append((stats["tuples"], stats["cell_overrides"], stats["dropped"]))
         # The first round may add feedback overrides for newly annotated
@@ -528,9 +530,10 @@ class TestBatchProvenance:
     def test_batch_provenance_off_switch(self):
         from repro.scenarios.synth import SynthConfig
         from repro.wrangler.batch import BatchConfig, run_scenario
+        from repro.wrangler.config import WranglerConfig
 
         config = SynthConfig(family="product_catalog", entities=60, seed=3)
-        result = run_scenario(config, BatchConfig(executor="serial",
-                                                  track_provenance=False))
+        wrangler = WranglerConfig(enable_incremental=False, track_provenance=False)
+        result = run_scenario(config, BatchConfig(executor="serial", wrangler=wrangler))
         assert result.ok, result.error
         assert result.provenance is None

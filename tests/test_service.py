@@ -441,32 +441,14 @@ class TestJobQueue:
         assert job.job_id in {record.job_id for record in service.jobs()}
 
 
-# -- the deprecated Wrangler surface ------------------------------------------
+# -- the session surface replaced the pre-session Wrangler methods -------------
 
 
 class TestDeprecatedSurface:
-    def test_old_methods_warn_but_still_work(self, session):
-        wrangler = session.wrangler
-        table = session.result()
-        key = table.row_keys()[0]
-        annotation = wrangler.feedback_on_tuple(key, correct=True)
-        with pytest.warns(DeprecationWarning, match="session API"):
-            result = wrangler.apply_feedback([annotation], evaluate=False)
-        assert result.table is not None
-        source = session.scenario.sources[0]
-        with pytest.warns(DeprecationWarning, match="session API"):
-            wrangler.append_source_rows(source.name, [source.tuples()[0]])
-
     def test_result_explain_equals_wrangler_explain(self, session):
         wrangler = session.wrangler
         result = wrangler.run("touch", evaluate=False)
         assert result.explain(0).as_dict() == wrangler.explain(0).as_dict()
-
-    def test_result_explain_catalog_kwarg_is_deprecated(self, session):
-        wrangler = session.wrangler
-        result = wrangler.run("touch", evaluate=False)
-        with pytest.warns(DeprecationWarning, match="catalog"):
-            result.explain(0, catalog=wrangler.kb.catalog)
 
     def test_session_surface_is_warning_free(self):
         with warnings.catch_warnings():
