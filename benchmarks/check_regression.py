@@ -26,6 +26,13 @@ nightly CI step with a matching ``--filter``:
   ``--filter metrics_incremental``)
 - ``BENCH_service.json``             (``--filter bench_service``)
 - ``BENCH_cqa.json``                 (``--filter bench_cqa``)
+
+Record a baseline from a full-size run (``BENCH_SMOKE`` unset) that includes
+the calibration bench, and commit pytest-benchmark's report unedited, e.g.::
+
+    PYTHONPATH=src python -m pytest benchmarks/test_bench_cqa.py \
+        benchmarks/test_bench_datalog_join.py::test_bench_calibration \
+        --benchmark-json=benchmarks/baselines/BENCH_cqa.json
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from repro.datalog.errors import (
 )
 from repro.datalog.parser import parse_atom, parse_program, parse_rule
 from repro.datalog.program import Program
-from repro.datalog.stratify import stratify, stratum_order
+from repro.datalog.stratify import evaluation_order, stratify
 from repro.datalog.terms import (
     Atom,
     Comparison,
@@ -45,8 +45,8 @@ __all__ = [
     "parse_program",
     "parse_rule",
     "parse_atom",
+    "evaluation_order",
     "stratify",
-    "stratum_order",
     "DatalogError",
     "ParseError",
     "SafetyError",

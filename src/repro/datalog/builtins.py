@@ -7,12 +7,20 @@ as equality test and as assignment when one side is an unbound variable
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+import operator
+from typing import Any, Callable, Mapping
 
 from repro.datalog.errors import EvaluationError
-from repro.datalog.terms import Comparison, Constant, Substitution, Term, Variable
+from repro.datalog.terms import (
+    Comparison,
+    Constant,
+    Substitution,
+    Term,
+    Variable,
+    constants_match,
+)
 
-__all__ = ["evaluate_comparison", "try_bind_assignment", "resolve_term"]
+__all__ = ["COMPARISONS", "evaluate_comparison", "try_bind_assignment", "resolve_term"]
 
 
 def resolve_term(term: Term, binding: Mapping[str, Any]) -> tuple[bool, Any]:
@@ -52,6 +60,29 @@ def try_bind_assignment(comparison: Comparison, binding: Substitution) -> Substi
     return None
 
 
+def _ordering(compare: Callable[[Any, Any], Any]) -> Callable[[Any, Any], Any]:
+    def test(left: Any, right: Any) -> Any:
+        try:
+            return compare(left, right)
+        except TypeError:
+            # Incomparable types never satisfy an ordering comparison.
+            return False
+
+    return test
+
+
+#: The test of a fully bound comparison, by operator.
+COMPARISONS: dict[str, Callable[[Any, Any], Any]] = {
+    "=": constants_match,
+    "==": constants_match,
+    "!=": lambda left, right: not constants_match(left, right),
+    "<": _ordering(operator.lt),
+    "<=": _ordering(operator.le),
+    ">": _ordering(operator.gt),
+    ">=": _ordering(operator.ge),
+}
+
+
 def evaluate_comparison(comparison: Comparison, binding: Mapping[str, Any]) -> bool:
     """Evaluate a fully bound comparison literal."""
     left_ground, left = resolve_term(comparison.left, binding)
@@ -59,30 +90,7 @@ def evaluate_comparison(comparison: Comparison, binding: Mapping[str, Any]) -> b
     if not (left_ground and right_ground):
         raise EvaluationError(
             f"comparison {comparison} has unbound variables under {dict(binding)!r}")
-    op = comparison.op
-    if op in ("=", "=="):
-        return _values_equal(left, right)
-    if op == "!=":
-        return not _values_equal(left, right)
-    try:
-        if op == "<":
-            return left < right
-        if op == "<=":
-            return left <= right
-        if op == ">":
-            return left > right
-        if op == ">=":
-            return left >= right
-    except TypeError:
-        # Incomparable types never satisfy an ordering comparison.
-        return False
-    raise EvaluationError(f"unknown comparison operator {op!r}")  # pragma: no cover
-
-
-def _values_equal(left: Any, right: Any) -> bool:
-    """Equality with numeric cross-type tolerance (1 == 1.0) but not bool/int mixing."""
-    if isinstance(left, bool) != isinstance(right, bool):
-        return False
-    if isinstance(left, (int, float)) and isinstance(right, (int, float)):
-        return float(left) == float(right)
-    return left == right
+    test = COMPARISONS.get(comparison.op)
+    if test is None:
+        raise EvaluationError(f"unknown comparison operator {comparison.op!r}")
+    return test(left, right)

@@ -6,34 +6,51 @@ knowledge base, to express orchestration conditions and to represent schema
 mappings. The fragment implemented here (stratified Datalog with negation
 and comparisons) covers all of those uses.
 
-Join evaluation is hash-indexed: :class:`Database` maintains lazy
-per-predicate hash indexes keyed on column subsets (built on the first probe,
-maintained incrementally on inserts, dropped on deletions), and the engine
-probes the index on the bound positions of each positive atom instead of
-scanning the whole relation. Delta relations of the semi-naive loop are
-plain :class:`Database` instances and are indexed the same way, so recursive
-rounds touch only matching tuples. Pass ``indexed=False`` to
-:class:`Engine` to fall back to the naive nested-loop join (kept as an A/B
-escape hatch for testing and benchmarking).
+Evaluation runs stratum by stratum and, inside a stratum, one strongly
+connected component of the dependency graph at a time, each after the
+components it reads (:func:`~repro.datalog.stratify.evaluation_order`). A
+non-recursive predicate is therefore complete after one pass; only
+recursive components run semi-naive rounds.
+
+Each rule is compiled, on first use, once per *delta position* (the body
+literal that a semi-naive round matches against the previous round's new
+tuples) into a static join plan, :class:`_Plan`. The plan fixes the literal
+order: comparisons and negations as soon as their variables are bound, then
+the delta literal, then the positive atom with the most bound columns. It
+maps every variable to a slot of a binding tuple and precomputes, per
+literal, the probed columns and their key getter, the repeated-variable
+checks, the negation keys and the head projection, so evaluation builds no
+per-row substitution. A positive atom probes a lazy hash index of
+:class:`Database` on its bound columns (delta relations are indexed the same
+way), and every index hit is verified with
+:func:`~repro.datalog.terms.constants_match`: equal index keys do not imply
+equal constants.
+
+``Engine(indexed=False)`` is the reference evaluator: dict substitutions,
+positive atoms joined in body order by nested loops, no index. The tests
+compare every compiled model against it.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any, Iterable, Mapping
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Mapping
 
-from repro.datalog.builtins import evaluate_comparison, try_bind_assignment
+from repro.datalog.builtins import COMPARISONS, evaluate_comparison, try_bind_assignment
 from repro.datalog.errors import EvaluationError, UnknownPredicateError
 from repro.datalog.parser import parse_atom
 from repro.datalog.program import Program
-from repro.datalog.stratify import stratum_order
+from repro.datalog.stratify import evaluation_order
 from repro.datalog.terms import (
     Atom,
+    Comparison,
     Constant,
     Literal,
     Rule,
     Substitution,
     Variable,
+    constants_match,
     hash_key,
     row_key,
 )
@@ -60,8 +77,7 @@ class Database:
         self._indexes: dict[str, dict[tuple[int, ...], Index]] = {}
         if relations:
             for predicate, rows in relations.items():
-                for row in rows:
-                    self.add(predicate, tuple(row))
+                self.update(predicate, map(tuple, rows))
 
     def add(self, predicate: str, row: tuple) -> bool:
         """Insert a tuple; returns True when it was new."""
@@ -71,21 +87,33 @@ class Database:
         relation.add(row)
         if len(relation) == before:
             return False
-        self._index_insert(predicate, row)
+        self._index_insert(predicate, (row,))
         return True
 
-    def _index_insert(self, predicate: str, row: tuple) -> None:
-        """Maintain every existing index of ``predicate`` for a new row.
+    def update(self, predicate: str, rows: Iterable[tuple]) -> set[tuple]:
+        """Insert many tuples; returns the ones that were new."""
+        fresh = (rows if isinstance(rows, set) else set(rows)) - self.relation(predicate)
+        if fresh:
+            self._relations[predicate] |= fresh
+            self._index_insert(predicate, fresh)
+        return fresh
+
+    def _index_insert(self, predicate: str, rows: Iterable[tuple],
+                      indexes: dict[tuple[int, ...], Index] | None = None) -> None:
+        """Add new rows to ``indexes`` (default: every index of ``predicate``).
 
         Rows too short to have all indexed columns are skipped: they can
         never unify with an atom that binds those positions.
         """
-        indexes = self._indexes.get(predicate)
-        if not indexes:
-            return
+        if indexes is None:
+            indexes = self._indexes.get(predicate)
+            if not indexes:
+                return
         for positions, index in indexes.items():
-            if len(row) > positions[-1]:
-                index.setdefault(row_key(row, positions), []).append(row)
+            last = positions[-1]
+            for row in rows:
+                if len(row) > last:
+                    index.setdefault(row_key(row, positions), []).append(row)
 
     def add_atom(self, atom: Atom) -> bool:
         """Insert a ground atom."""
@@ -113,12 +141,8 @@ class Database:
         indexes = self._indexes.setdefault(predicate, {})
         index = indexes.get(positions)
         if index is None:
-            index = {}
-            last = positions[-1]
-            for row in self._relations.get(predicate, ()):
-                if len(row) > last:
-                    index.setdefault(row_key(row, positions), []).append(row)
-            indexes[positions] = index
+            index = indexes[positions] = {}
+            self._index_insert(predicate, self._relations.get(predicate, ()), {positions: index})
         return index
 
     def indexed_positions(self, predicate: str) -> list[tuple[int, ...]]:
@@ -148,15 +172,8 @@ class Database:
     def merge(self, other: "Database") -> None:
         """Add every tuple of ``other`` into this database."""
         for predicate, rows in other._relations.items():
-            if not rows:
-                continue
-            mine = self._relations[predicate]
-            fresh = rows - mine
-            if not fresh:
-                continue
-            mine |= fresh
-            for row in fresh:
-                self._index_insert(predicate, row)
+            if rows:
+                self.update(predicate, rows)
 
     def __repr__(self) -> str:
         return f"Database(predicates={len(self._relations)}, tuples={self.count()})"
@@ -165,17 +182,17 @@ class Database:
 class Engine:
     """Evaluates a :class:`Program` over a :class:`Database` of EDB facts.
 
-    ``indexed=True`` (the default) enables hash-indexed joins, the
-    most-bound-first join planner and indexed negation probes.
-    ``indexed=False`` is the nested-loop reference evaluator the tests
-    compare every indexed model against; both modes compute identical
-    models.
+    ``indexed=True`` (the default) evaluates compiled join plans over
+    hash-indexed relations. ``indexed=False`` is the nested-loop reference
+    evaluator the tests compare every compiled model against; both modes
+    compute identical models.
     """
 
     def __init__(self, program: Program, *, indexed: bool = True):
         self._program = program
-        self._strata = stratum_order(program)
+        self._components = evaluation_order(program)
         self._indexed = indexed
+        self._plans: dict[tuple[Rule, int | None], _Plan] = {}
 
     @property
     def program(self) -> Program:
@@ -184,15 +201,15 @@ class Engine:
 
     @property
     def indexed(self) -> bool:
-        """Whether hash-indexed evaluation is enabled."""
+        """Whether compiled, hash-indexed evaluation is enabled."""
         return self._indexed
 
     def run(self, edb: Database | Mapping[str, Iterable[tuple]] | None = None) -> Database:
         """Compute the full model: EDB facts plus all derivable IDB facts."""
         database = self._initial_database(edb)
-        for layer in self._strata:
-            rules = [rule for predicate in layer for rule in self._program.rules_for(predicate)]
-            self._evaluate_stratum(rules, database)
+        for component in self._components:
+            rules = [rule for predicate in component for rule in self._program.rules_for(predicate)]
+            self._evaluate_component(rules, database)
         return database
 
     def _initial_database(self, edb) -> Database:
@@ -204,29 +221,27 @@ class Engine:
             database.add_atom(fact_rule.head)
         return database
 
-    # -- stratum evaluation (semi-naive) ------------------------------------
+    # -- component evaluation (semi-naive) ----------------------------------
 
-    def _evaluate_stratum(self, rules: list[Rule], database: Database) -> None:
-        if not rules:
-            return
-        derived_predicates = {rule.head.predicate for rule in rules}
-        # First round: full naive evaluation seeds the deltas. Deltas are
-        # Database instances so recursive rounds can hash-index them too.
-        delta = Database()
-        for rule in rules:
-            for row in self._evaluate_rule(rule, database, delta=None):
-                if database.add(rule.head.predicate, row):
-                    delta.add(rule.head.predicate, row)
-        # Subsequent rounds only join against the delta of recursive predicates.
-        while delta.count():
+    def _evaluate_component(self, rules: list[Rule], database: Database) -> None:
+        """Evaluate the rules of one component to their fixpoint.
+
+        The first round evaluates every rule over the full database and
+        seeds the delta. Later rounds match one positive literal against the
+        previous round's delta, which holds only this component's
+        predicates, so a non-recursive component stops after one round.
+        Deltas are :class:`Database` instances, so they are indexed too.
+        """
+        heads = {rule.head.predicate for rule in rules}
+        recursive = any(rule.body_predicates() & heads for rule in rules)
+        delta: Database | None = None
+        while delta is None or delta.count():
             new_delta = Database()
             for rule in rules:
-                recursive = rule.body_predicates() & derived_predicates
-                if not recursive:
-                    continue
-                for row in self._evaluate_rule(rule, database, delta=delta):
-                    if database.add(rule.head.predicate, row):
-                        new_delta.add(rule.head.predicate, row)
+                fresh = database.update(
+                    rule.head.predicate, self._evaluate_rule(rule, database, delta))
+                if recursive:
+                    new_delta.update(rule.head.predicate, fresh)
             delta = new_delta
 
     def _evaluate_rule(self, rule: Rule, database: Database,
@@ -234,23 +249,30 @@ class Engine:
         """All head tuples derivable by one rule.
 
         With ``delta`` given, at least one positive literal must be matched
-        against the delta relation (semi-naive restriction); we implement this
-        by iterating over which positive literal is the "delta literal",
-        identified by its position in the rule body.
+        against the delta relation (semi-naive restriction): the rule is
+        evaluated once per positive literal whose predicate has delta
+        tuples, with that literal, identified by its body position, read
+        from the delta.
         """
         if delta is None:
-            bindings = self._match_body(rule, database, delta=None, delta_position=None)
-            return self._project_head(rule, bindings)
+            return self._derive(rule, database, None, None)
         results: set[tuple] = set()
         for position, literal in enumerate(rule.body):
-            if not literal.is_positive_atom:
-                continue
-            assert literal.atom is not None
-            if literal.atom.predicate not in delta:
-                continue
-            bindings = self._match_body(rule, database, delta=delta, delta_position=position)
-            results |= self._project_head(rule, bindings)
+            if literal.is_positive_atom and literal.atom.predicate in delta:
+                results |= self._derive(rule, database, delta, position)
         return results
+
+    def _derive(self, rule: Rule, database: Database, delta: Database | None,
+                delta_position: int | None) -> set[tuple]:
+        if self._indexed:
+            plan = self._plans.get((rule, delta_position))
+            if plan is None:
+                plan = self._plans[rule, delta_position] = _Plan(rule, delta_position)
+            return plan.run(database, delta)
+        bindings = self._match_body(rule, database, delta=delta, delta_position=delta_position)
+        return self._project_head(rule, bindings)
+
+    # -- the reference evaluator (indexed=False) ----------------------------
 
     def _project_head(self, rule: Rule, bindings: Iterable[Substitution]) -> set[tuple]:
         rows: set[tuple] = set()
@@ -275,7 +297,7 @@ class Engine:
         pending: list[tuple[int, Literal]] = list(enumerate(rule.body))
 
         while pending:
-            popped = self._pop_next(pending, bindings, delta_position)
+            popped = self._pop_next(pending, bindings)
             if popped is None:
                 raise EvaluationError(
                     f"rule {rule}: cannot order body literals (unbound built-in or negation)")
@@ -286,49 +308,17 @@ class Engine:
                 return []
         return bindings
 
-    def _pop_next(self, pending: list[tuple[int, Literal]], bindings: list[Substitution],
-                  delta_position: int | None) -> tuple[int, Literal] | None:
-        """Choose the next evaluable literal.
-
-        Fully bound comparisons and negations run first (they only filter).
-        Among positive atoms the planner prefers the delta literal (the
-        smallest relation of a recursive round), then the atom with the most
-        bound columns — the most selective index probe. With ``indexed=False``
-        positive atoms are taken in body order, as the naive engine did.
-        """
+    def _pop_next(self, pending: list[tuple[int, Literal]],
+                  bindings: list[Substitution]) -> tuple[int, Literal] | None:
+        """Choose the next evaluable literal: a comparison or negation whose
+        variables are bound (see :func:`_ready_filter`), otherwise the first
+        positive atom in body order."""
         # All bindings share the same variable set by construction.
-        bound = set(bindings[0]) if bindings else set()
-        # 1. comparisons / negations whose variables are fully bound.
-        for index, (_, literal) in enumerate(pending):
-            if literal.is_comparison:
-                comparison = literal.comparison
-                assert comparison is not None
-                if comparison.variables() <= bound or (
-                        comparison.op in ("=", "==")
-                        and len(comparison.variables() - bound) == 1):
-                    return pending.pop(index)
-            elif literal.is_negated_atom and literal.variables() <= bound:
-                return pending.pop(index)
-        # 2. otherwise a positive atom, chosen by the join planner.
-        best_index: int | None = None
-        best_score = -1
-        for index, (position, literal) in enumerate(pending):
-            if not literal.is_positive_atom:
-                continue
-            if not self._indexed:
-                return pending.pop(index)
-            if position == delta_position:
-                return pending.pop(index)
-            assert literal.atom is not None
-            score = sum(1 for term in literal.atom.terms
-                        if isinstance(term, Constant)
-                        or (isinstance(term, Variable) and not term.is_anonymous
-                            and term.name in bound))
-            if score > best_score:
-                best_index, best_score = index, score
-        if best_index is None:
-            return None
-        return pending.pop(best_index)
+        index = _ready_filter(pending, set(bindings[0]))
+        if index is None:
+            index = next((index for index, (_, literal) in enumerate(pending)
+                          if literal.is_positive_atom), None)
+        return None if index is None else pending.pop(index)
 
     def _apply_literal(self, literal: Literal, bindings: list[Substitution],
                        source: Database) -> list[Substitution]:
@@ -358,76 +348,29 @@ class Engine:
         """Filter bindings whose ground instance of ``atom`` is present.
 
         Membership uses the same constant semantics as positive unification
-        (`_constants_match`): booleans never match ints, ints match equal
-        floats. The indexed path probes the full-width index; the naive path
-        scans and unifies, so both agree exactly.
+        (:func:`~repro.datalog.terms.constants_match`): booleans never match
+        ints, ints match equal floats.
         """
-        arity = atom.arity
-        all_positions = tuple(range(arity))
-        index = (source.index_for(atom.predicate, all_positions)
-                 if self._indexed and arity else None)
         rows = source.relation(atom.predicate)
         surviving = []
         for binding in bindings:
             ground = atom.substitute(binding)
             if not ground.is_ground:
                 raise EvaluationError(f"negated atom {atom} not ground under {binding!r}")
-            values = ground.as_tuple()
-            if index is not None:
-                candidates = index.get(row_key(values, all_positions), ())
-            else:
-                candidates = rows
-            present = any(_unify(ground, row, {}) is not None for row in candidates)
-            if not present:
+            if not any(_unify(ground, row, {}) is not None for row in rows):
                 surviving.append(binding)
         return surviving
 
     def _apply_join(self, atom: Atom, bindings: list[Substitution],
                     source: Database) -> list[Substitution]:
-        """Extend bindings by joining ``atom`` against its relation.
-
-        When indexing is enabled and at least one column is bound (a constant
-        or an already-bound variable), the relation's hash index on those
-        columns is probed; bindings sharing a probe key are batched so each
-        key does a single lookup. Otherwise the full relation is scanned.
-        """
-        bound_positions: list[int] = []
-        if self._indexed and bindings:
-            bound = bindings[0]
-            for position, term in enumerate(atom.terms):
-                if isinstance(term, Constant):
-                    bound_positions.append(position)
-                elif (isinstance(term, Variable) and not term.is_anonymous
-                      and term.name in bound):
-                    bound_positions.append(position)
+        """Extend bindings by joining ``atom`` against its whole relation."""
+        rows = source.relation(atom.predicate)
         extended: list[Substitution] = []
-        if not bound_positions:
-            rows = source.relation(atom.predicate)
-            for binding in bindings:
-                for row in rows:
-                    unified = _unify(atom, row, binding)
-                    if unified is not None:
-                        extended.append(unified)
-            return extended
-        positions = tuple(bound_positions)
-        index = source.index_for(atom.predicate, positions)
-        terms = [atom.terms[position] for position in positions]
-        # Batch: group bindings by probe key so each key is looked up once.
-        groups: dict[tuple, list[Substitution]] = {}
         for binding in bindings:
-            key = tuple(
-                hash_key(term.value if isinstance(term, Constant) else binding[term.name])
-                for term in terms)
-            groups.setdefault(key, []).append(binding)
-        for key, group in groups.items():
-            rows = index.get(key)
-            if not rows:
-                continue
-            for binding in group:
-                for row in rows:
-                    unified = _unify(atom, row, binding)
-                    if unified is not None:
-                        extended.append(unified)
+            for row in rows:
+                unified = _unify(atom, row, binding)
+                if unified is not None:
+                    extended.append(unified)
         return extended
 
     # -- querying ------------------------------------------------------------
@@ -454,6 +397,273 @@ class Engine:
         return sorted(results, key=_sort_key)
 
 
+def _ready_filter(pending: list[tuple[int, Literal]], bound: set[str]) -> int | None:
+    """Index in ``pending`` of the first comparison or negated atom that can
+    run once the variables in ``bound`` are bound.
+
+    Comparisons and negations only filter (or, for ``X = value`` with ``X``
+    unbound, assign), so both evaluators run them as early as possible.
+    """
+    for index, (_, literal) in enumerate(pending):
+        if literal.is_comparison:
+            comparison = literal.comparison
+            assert comparison is not None
+            unbound = comparison.variables() - bound
+            if not unbound or (comparison.op in ("=", "==") and len(unbound) == 1):
+                return index
+        elif literal.is_negated_atom and literal.variables() <= bound:
+            return index
+    return None
+
+
+# -- compiled join plans -------------------------------------------------------
+
+#: A binding holds one value per variable bound so far, in the order the plan
+#: binds them; a plan step maps the bindings so far to the next ones.
+Binding = tuple
+Step = Callable[[list[Binding], Database, "Database | None"], list[Binding]]
+
+
+class _Plan:
+    """One rule compiled for one delta position (``None``: no delta).
+
+    The literal order is static: every binding that reaches a literal has the
+    same variables bound, so the order the reference evaluator chooses per
+    call is fixed at compile time, with one difference: among positive atoms
+    the delta literal comes first, then the atom with the most bound columns
+    (constants and already-bound variables), the most selective index probe.
+    """
+
+    __slots__ = ("steps", "project")
+
+    def __init__(self, rule: Rule, delta_position: int | None):
+        #: Variable name → slot of the binding tuple.
+        slots: dict[str, int] = {}
+        self.steps: list[Step] = []
+        pending = list(enumerate(rule.body))
+        while pending:
+            index = _ready_filter(pending, set(slots))
+            if index is None:
+                index = _most_bound_atom(pending, slots, delta_position)
+            if index is None:  # pragma: no cover - rule safety guarantees an order
+                raise EvaluationError(f"rule {rule}: cannot order body literals")
+            position, literal = pending.pop(index)
+            if literal.comparison is not None:
+                self.steps.append(_comparison_step(literal.comparison, slots))
+            elif literal.negated:
+                self.steps.append(_negation_step(literal.atom, slots))
+            else:
+                self.steps.append(_join_step(literal.atom, slots, position == delta_position))
+        self.project = _getter(rule.head.terms, slots, f"head {rule.head} not ground")
+
+    def run(self, database: Database, delta: Database | None) -> set[tuple]:
+        """The head tuples the rule derives."""
+        bindings: list[Binding] = [()]
+        for step in self.steps:
+            bindings = step(bindings, database, delta)
+            if not bindings:
+                return set()
+        return set(map(self.project, bindings))
+
+
+def _most_bound_atom(pending: list[tuple[int, Literal]], slots: Mapping[str, int],
+                     delta_position: int | None) -> int | None:
+    """The next positive atom to join: the delta literal, else the one with
+    the most bound columns (the first such in body order)."""
+    best_index: int | None = None
+    best_score = -1
+    for index, (position, literal) in enumerate(pending):
+        if not literal.is_positive_atom:
+            continue
+        if position == delta_position:
+            return index
+        assert literal.atom is not None
+        score = sum(1 for term in literal.atom.terms
+                    if isinstance(term, Constant)
+                    or (isinstance(term, Variable) and not term.is_anonymous
+                        and term.name in slots))
+        if score > best_score:
+            best_index, best_score = index, score
+    return best_index
+
+
+def _failing(message: str) -> Step:
+    """A step that raises as soon as a binding reaches it, as the reference
+    evaluator does when it reaches the same literal or head."""
+    def fail(bindings: list[Binding], database: Database, delta: Database | None) -> list:
+        raise EvaluationError(message)
+    return fail
+
+
+def _resolve(term: Any, slots: Mapping[str, int]) -> tuple[int | None, Any] | None:
+    """``(slot, None)`` for a bound variable, ``(None, value)`` for a
+    constant, ``None`` for an unbound variable."""
+    if isinstance(term, Constant):
+        return None, term.value
+    if term.name in slots:
+        return slots[term.name], None
+    return None
+
+
+def _getter(terms: Iterable[Any], slots: Mapping[str, int],
+            unbound: str) -> Callable[[Binding], tuple]:
+    """A function from a binding to the values of ``terms``; raises
+    ``EvaluationError(unbound)`` when a term is an unbound variable."""
+    parts = [_resolve(term, slots) for term in terms]
+    if None in parts:
+        def fail(binding: Binding) -> tuple:
+            raise EvaluationError(unbound)
+        return fail
+    if any(slot is None for slot, _ in parts):
+        return lambda binding: tuple([value if slot is None else binding[slot]
+                                      for slot, value in parts])
+    return _slot_getter([slot for slot, _ in parts])
+
+
+def _slot_getter(positions: list[int]) -> Callable[[tuple], tuple]:
+    """``lambda t: tuple(t[p] for p in positions)``, specialised by size."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    if positions:
+        position = positions[0]
+        return lambda values: (values[position],)
+    return lambda values: ()
+
+
+def _comparison_step(comparison: Comparison, slots: dict[str, int]) -> Step:
+    """Filter by a comparison, or assign with ``X = value`` when exactly one
+    side is an unbound variable (as :func:`try_bind_assignment` does)."""
+    left, right = _resolve(comparison.left, slots), _resolve(comparison.right, slots)
+    if comparison.op in ("=", "==") and (left is None) != (right is None):
+        target = comparison.left if left is None else comparison.right
+        slot, value = right if left is None else left
+        slots[target.name] = len(slots)
+        if slot is None:
+            return lambda bindings, database, delta: [binding + (value,) for binding in bindings]
+        return lambda bindings, database, delta: [binding + (binding[slot],)
+                                                  for binding in bindings]
+    if left is None or right is None:
+        return _failing(f"comparison {comparison} has unbound variables")
+    test = COMPARISONS.get(comparison.op)
+    if test is None:
+        return _failing(f"unknown comparison operator {comparison.op!r}")
+    (left_slot, left_value), (right_slot, right_value) = left, right
+
+    def compare(bindings: list[Binding], database: Database,
+                delta: Database | None) -> list[Binding]:
+        return [binding for binding in bindings
+                if test(left_value if left_slot is None else binding[left_slot],
+                        right_value if right_slot is None else binding[right_slot])]
+    return compare
+
+
+def _negation_step(atom: Atom, slots: Mapping[str, int]) -> Step:
+    """Keep the bindings whose ground instance of ``atom`` is absent, probing
+    the full-width index and verifying candidates with ``constants_match``."""
+    predicate, arity = atom.predicate, atom.arity
+    values_of = _getter(atom.terms, slots, f"negated atom {atom} not ground")
+    positions = tuple(range(arity))
+
+    def negate(bindings: list[Binding], database: Database,
+               delta: Database | None) -> list[Binding]:
+        if not arity:
+            return [] if () in database.relation(predicate) else bindings
+        index = database.index_for(predicate, positions)
+        surviving = []
+        for binding in bindings:
+            values = values_of(binding)
+            candidates = index.get(tuple([hash_key(value) for value in values]))
+            if not candidates or not any(
+                    len(row) == arity and all(map(constants_match, values, row))
+                    for row in candidates):
+                surviving.append(binding)
+        return surviving
+    return negate
+
+
+def _join_step(atom: Atom, slots: dict[str, int], from_delta: bool) -> Step:
+    """Join a positive atom: probe the index on its bound columns, verify
+    each hit, and extend the binding with the atom's new variables."""
+    predicate, arity = atom.predicate, atom.arity
+    probes: list[tuple[int, int | None, Any]] = []  # (column, slot, constant)
+    first: dict[str, int] = {}  # new variable → its first column
+    repeats: list[tuple[int, int]] = []  # (first column, repeated column)
+    for column, term in enumerate(atom.terms):
+        if isinstance(term, Constant):
+            probes.append((column, None, term.value))
+        elif not isinstance(term, Variable) or term.is_anonymous:
+            continue
+        elif term.name in slots:
+            probes.append((column, slots[term.name], None))
+        elif term.name in first:
+            repeats.append((first[term.name], column))
+        else:
+            first[term.name] = column
+    for name in first:
+        slots[name] = len(slots)
+    extract = _slot_getter(list(first.values()))
+    constants = [(column, value) for column, slot, value in probes if slot is None]
+    checks = [(slot, column) for column, slot, _ in probes if slot is not None]
+
+    if constants or repeats:
+        def fits(row: tuple) -> bool:
+            """The checks no binding affects: arity, constants, repeated variables."""
+            return (len(row) == arity
+                    and all(constants_match(value, row[column]) for column, value in constants)
+                    and all(constants_match(row[a], row[b]) for a, b in repeats))
+    else:
+        def fits(row: tuple) -> bool:
+            return len(row) == arity
+
+    columns = tuple(column for column, _, _ in probes)
+    if not checks:
+        # Every binding reads the same rows: a cross product (or, without
+        # new variables, a semi-join).
+        key = tuple(hash_key(value) for _, _, value in probes)
+
+        def cross(bindings: list[Binding], database: Database,
+                  delta: Database | None) -> list[Binding]:
+            source = delta if from_delta else database
+            rows = (source.index_for(predicate, columns).get(key, ()) if columns
+                    else source.relation(predicate))
+            found = [extract(row) for row in rows if fits(row)]
+            if not found:
+                return []
+            if not first:
+                return bindings
+            return [binding + new for binding in bindings for new in found]
+        return cross
+
+    # The values a binding must match, and the row values they are checked
+    # against: every index hit is verified with constants_match.
+    bound_values = _slot_getter([slot for slot, _ in checks])
+    row_values = _slot_getter([column for _, column in checks])
+    key_parts = [(slot, None if slot is not None else hash_key(value))
+                 for _, slot, value in probes]  # (slot, or the constant's key)
+
+    def probe(bindings: list[Binding], database: Database,
+              delta: Database | None) -> list[Binding]:
+        source = delta if from_delta else database
+        index = source.index_for(predicate, columns)
+        buckets: dict[tuple, list[tuple[tuple, tuple]]] = {}
+        extended: list[Binding] = []
+        for binding in bindings:
+            key = tuple([part if slot is None else hash_key(binding[slot])
+                         for slot, part in key_parts])
+            bucket = buckets.get(key)
+            if bucket is None:
+                bucket = buckets[key] = [(row_values(row), extract(row))
+                                         for row in index.get(key, ()) if fits(row)]
+            values = bound_values(binding)
+            if first:
+                extended += [binding + new for hit, new in bucket
+                             if all(map(constants_match, values, hit))]
+            elif any(all(map(constants_match, values, hit)) for hit, _ in bucket):
+                extended.append(binding)
+        return extended
+    return probe
+
+
 def _unify(atom: Atom, row: tuple, binding: Substitution) -> Substitution | None:
     """Unify an atom's terms against a constant tuple under ``binding``."""
     if len(atom.terms) != len(row):
@@ -461,28 +671,17 @@ def _unify(atom: Atom, row: tuple, binding: Substitution) -> Substitution | None
     result = dict(binding)
     for term, value in zip(atom.terms, row):
         if isinstance(term, Constant):
-            if not _constants_match(term.value, value):
+            if not constants_match(term.value, value):
                 return None
         elif isinstance(term, Variable):
             if term.is_anonymous:
                 continue
             if term.name in result:
-                if not _constants_match(result[term.name], value):
+                if not constants_match(result[term.name], value):
                     return None
             else:
                 result[term.name] = value
     return result
-
-
-def _constants_match(left: Any, right: Any) -> bool:
-    if isinstance(left, bool) != isinstance(right, bool):
-        return False
-    if isinstance(left, (int, float)) and isinstance(right, (int, float)):
-        try:
-            return float(left) == float(right)
-        except OverflowError:  # ints beyond float range compare exactly
-            return left == right
-    return left == right
 
 
 def _sort_key(row: tuple) -> tuple:

@@ -29,6 +29,7 @@ __all__ = [
     "Rule",
     "fact",
     "Substitution",
+    "constants_match",
     "hash_key",
     "row_key",
 ]
@@ -37,18 +38,43 @@ __all__ = [
 Substitution = dict[str, Any]
 
 
+def constants_match(left: Any, right: Any) -> bool:
+    """Whether two constants are equal under the reasoner's semantics.
+
+    Booleans never equal numbers, numbers are equal across int/float
+    (through ``float``; ints beyond float range compare exactly) and every
+    other value uses ``==``. Joins, negation and the ``=``/``!=`` built-ins
+    all test equality with this function.
+    """
+    if type(left) is str or left is None:
+        return left == right
+    if isinstance(left, bool) != isinstance(right, bool):
+        return False
+    if isinstance(left, (int, float)) and isinstance(right, (int, float)):
+        try:
+            return float(left) == float(right)
+        except OverflowError:  # ints beyond float range compare exactly
+            return left == right
+    return left == right
+
+
 def hash_key(value: Any) -> tuple[str, Any]:
     """A hashable index key matching the engine's constant-equality semantics.
 
     Plain Python hashing conflates ``True``/``1``/``1.0`` as dict keys, while
     the reasoner treats booleans as distinct from numbers and numbers as
-    equal across int/float. Tagging the value keeps hash-index probes exactly
-    aligned with ``_constants_match``: booleans get their own key space and
-    numbers are canonicalised through ``float``.
+    equal across int/float. Tagging the value keeps hash-index probes
+    aligned with :func:`constants_match`: booleans get their own key space
+    and numbers are canonicalised through ``float``. Equal keys do not imply
+    a match (NaN, or a ``Decimal`` against the float it rounds to), so the
+    engine verifies every index hit with :func:`constants_match`.
     """
-    if isinstance(value, bool):
+    kind = type(value)
+    if kind is str or value is None:
+        return ("v", value)
+    if kind is bool:
         return ("b", value)
-    if isinstance(value, numbers.Number):
+    if kind is float or kind is int or isinstance(value, numbers.Number):
         # All numeric types share one key space so cross-type matches
         # (1 / 1.0 / Decimal("1") / Fraction(1)) land in one bucket. Values
         # float() cannot canonicalise keep their exact identity — Python's
@@ -62,7 +88,7 @@ def hash_key(value: Any) -> tuple[str, Any]:
 
 def row_key(row: tuple, positions: tuple[int, ...]) -> tuple[tuple[str, Any], ...]:
     """The composite index key of ``row`` on a column subset."""
-    return tuple(hash_key(row[position]) for position in positions)
+    return tuple([hash_key(row[position]) for position in positions])
 
 
 class Term:

@@ -22,9 +22,9 @@ from repro.datalog import (
     parse_atom,
     parse_program,
     parse_rule,
+    evaluation_order,
     query,
     stratify,
-    stratum_order,
 )
 
 
@@ -135,8 +135,20 @@ class TestStratification:
         """)
         strata = stratify(program)
         assert strata["childless"] > strata["isparent"]
-        order = stratum_order(program)
+        order = evaluation_order(program)
         assert order.index(["isparent"]) < order.index(["childless"])
+
+    def test_evaluation_order_follows_dependencies(self):
+        """Inside a stratum each component comes after the ones it reads,
+        whatever the alphabetical order of the predicates."""
+        program = Program.parse("""
+            a(X) :- b(X).
+            b(X) :- e(X).
+            c(X, Y) :- e(X), d(Y).
+            d(X) :- c(_, X).
+            z(X) :- e(X), not a(X).
+        """)
+        assert evaluation_order(program) == [["b"], ["a"], ["c", "d"], ["z"]]
 
     def test_negative_cycle_rejected(self):
         program = Program.parse("""
