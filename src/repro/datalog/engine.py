@@ -22,9 +22,9 @@ literal, the probed columns and their key getter, the repeated-variable
 checks, the negation keys and the head projection, so evaluation builds no
 per-row substitution. A positive atom probes a lazy hash index of
 :class:`Database` on its bound columns (delta relations are indexed the same
-way), and every index hit is verified with
-:func:`~repro.datalog.terms.constants_match`: equal index keys do not imply
-equal constants.
+way; an atom with no bound column scans its relation), and every index hit
+is verified with :func:`~repro.datalog.terms.constants_match`: equal index
+keys do not imply equal constants.
 
 ``Engine(indexed=False)`` is the reference evaluator: dict substitutions,
 positive atoms joined in body order by nested loops, no index. The tests
@@ -192,7 +192,11 @@ class Engine:
         self._program = program
         self._components = evaluation_order(program)
         self._indexed = indexed
-        self._plans: dict[tuple[Rule, int | None], _Plan] = {}
+        # Keyed by rule identity, not value: rules are frozen dataclasses
+        # whose equality compares constants with ``==``, so ``s(X, 1)`` and
+        # ``s(X, true)`` would share a plan. The program keeps its rules
+        # alive, so an id is never reused while the engine exists.
+        self._plans: dict[tuple[int, int | None], _Plan] = {}
 
     @property
     def program(self) -> Program:
@@ -265,9 +269,9 @@ class Engine:
     def _derive(self, rule: Rule, database: Database, delta: Database | None,
                 delta_position: int | None) -> set[tuple]:
         if self._indexed:
-            plan = self._plans.get((rule, delta_position))
+            plan = self._plans.get((id(rule), delta_position))
             if plan is None:
-                plan = self._plans[rule, delta_position] = _Plan(rule, delta_position)
+                plan = self._plans[id(rule), delta_position] = _Plan(rule, delta_position)
             return plan.run(database, delta)
         bindings = self._match_body(rule, database, delta=delta, delta_position=delta_position)
         return self._project_head(rule, bindings)
@@ -615,24 +619,21 @@ def _join_step(atom: Atom, slots: dict[str, int], from_delta: bool) -> Step:
         def fits(row: tuple) -> bool:
             return len(row) == arity
 
-    columns = tuple(column for column, _, _ in probes)
-    if not checks:
-        # Every binding reads the same rows: a cross product (or, without
-        # new variables, a semi-join).
-        key = tuple(hash_key(value) for _, _, value in probes)
-
-        def cross(bindings: list[Binding], database: Database,
-                  delta: Database | None) -> list[Binding]:
+    if not probes:
+        # Nothing to probe: every binding reads the whole relation, a cross
+        # product (or, without new variables, a semi-join).
+        def scan(bindings: list[Binding], database: Database,
+                 delta: Database | None) -> list[Binding]:
             source = delta if from_delta else database
-            rows = (source.index_for(predicate, columns).get(key, ()) if columns
-                    else source.relation(predicate))
-            found = [extract(row) for row in rows if fits(row)]
+            found = [extract(row) for row in source.relation(predicate) if fits(row)]
             if not found:
                 return []
             if not first:
                 return bindings
             return [binding + new for binding in bindings for new in found]
-        return cross
+        return scan
+
+    columns = tuple(column for column, _, _ in probes)
 
     # The values a binding must match, and the row values they are checked
     # against: every index hit is verified with constants_match.

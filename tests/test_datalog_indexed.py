@@ -121,6 +121,19 @@ class TestUnificationShapes:
         model = assert_identical('r(Y) :- p("a", Y).', edb)
         assert model.relation("r") == {(1,), (2,)}
 
+    def test_rules_equal_under_python_equality_keep_their_own_plans(self):
+        """``Constant(1) == Constant(True)``, so these rule pairs compare
+        equal as values; each must still be evaluated with its own constant."""
+        edb = {"s": [("a", True), ("b", 1)]}
+        model = assert_identical("p(X) :- s(X, 1). p(X) :- s(X, true).", edb)
+        assert model.relation("p") == {("a",), ("b",)}
+        edb = {"s": [(0,), ("a",)]}
+        model = assert_identical("p(X) :- s(X), X != 0. q(X) :- s(X), X != false.", edb)
+        assert model.relation("p") == {("a",)}
+        assert model.relation("q") == {(0,), ("a",)}
+        model = assert_identical("p(X) :- s(X), X != 0. p(X) :- s(X), X != false.", edb)
+        assert model.relation("p") == {(0,), ("a",)}
+
     def test_mixed_arity_relation_does_not_break_index(self):
         """Rows shorter than the probed columns are skipped, not crashed on."""
         db = Database({"p": [("a",), ("a", 1), ("b", 2)]})
@@ -240,7 +253,7 @@ class TestConstantKeySemantics:
     @pytest.mark.parametrize("indexed", [True, False])
     def test_decimal_rows_join_with_int_probes(self, indexed):
         """Non-builtin numeric types share the numeric key space."""
-        from decimal import Decimal, InvalidOperation, localcontext
+        from decimal import Decimal
         from fractions import Fraction
 
         program = Program.parse("r(X) :- s(X), p(X).")
@@ -337,6 +350,9 @@ NAN = float("nan")
 #: equals the float it rounds to; 10**400 has no float.
 VALUES = ["a", "b", None, True, False, 0, 1, 1.0, NAN, Decimal("1"),
           Decimal("1.0000000000000000000001"), 10**400]
+#: (type, value) → a constant that equals it under Python's ``==``, which rule
+#: equality uses, but not under the reasoner's, which tells booleans apart.
+TWINS = {(int, 1): True, (bool, True): 1.0, (int, 0): False, (bool, False): 0}
 EDB = {"e": 2, "f": 1, "g": 3}
 X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
 
@@ -346,11 +362,13 @@ def _atom(predicate: str, *terms) -> Literal:
 
 
 @st.composite
-def _rule(draw, head: str, head_arity: int, positive: list, negatable: list) -> Rule:
-    """A safe rule: 1–3 positive atoms, then optional comparisons (an
-    ordering test or an ``=`` assignment) and an optional negation."""
+def _rule(draw, head: str, head_arity: int, positive: list, negatable: list,
+          values: list = VALUES) -> Rule:
+    """A safe rule with constants from ``values``: 1–3 positive atoms, then
+    optional comparisons (an ordering test or an ``=`` assignment) and an
+    optional negation."""
     term = st.sampled_from(["X", "Y", "Z", "X", "Y", "Z", "_", ""]).flatmap(
-        lambda name: st.just(Variable(name)) if name else st.sampled_from(VALUES).map(Constant))
+        lambda name: st.just(Variable(name)) if name else st.sampled_from(values).map(Constant))
     body, bound = [], set()
     for _ in range(draw(st.integers(1, 3))):
         predicate, arity = draw(st.sampled_from(positive))
@@ -361,7 +379,7 @@ def _rule(draw, head: str, head_arity: int, positive: list, negatable: list) -> 
     def value() -> Constant | Variable:
         if bound and draw(st.booleans()):
             return Variable(draw(st.sampled_from(sorted(bound))))
-        return Constant(draw(st.sampled_from(VALUES)))
+        return Constant(draw(st.sampled_from(values)))
 
     for _ in range(draw(st.integers(0, 2))):
         if draw(st.booleans()) and "V" not in bound:
@@ -374,7 +392,7 @@ def _rule(draw, head: str, head_arity: int, positive: list, negatable: list) -> 
             left, right = value(), value()
             if op in ("=", "==") and isinstance(left, Variable) and left == right:
                 # Both evaluators try `X = X` before X is bound and raise.
-                right = Constant(draw(st.sampled_from(VALUES)))
+                right = Constant(draw(st.sampled_from(values)))
             body.append(Literal(comparison=Comparison(left, op, right)))
     if negatable and draw(st.booleans()):
         predicate, arity = draw(st.sampled_from(negatable))
@@ -382,6 +400,25 @@ def _rule(draw, head: str, head_arity: int, positive: list, negatable: list) -> 
                             negated=True))
     head_terms = [value() for _ in range(head_arity)]
     return Rule(Atom(head, head_terms), draw(st.permutations(body)))
+
+
+def _twin(rule: Rule) -> Rule:
+    """``rule`` with every constant swapped for its twin: a rule equal to
+    ``rule`` as a value whose constants the reasoner may tell apart."""
+    def twin(term):
+        if isinstance(term, Constant):
+            return Constant(TWINS.get((type(term.value), term.value), term.value))
+        return term
+
+    def literal(lit: Literal) -> Literal:
+        if lit.comparison is not None:
+            c = lit.comparison
+            return Literal(comparison=Comparison(twin(c.left), c.op, twin(c.right)))
+        return Literal(atom=Atom(lit.atom.predicate, [twin(t) for t in lit.atom.terms]),
+                       negated=lit.negated)
+
+    return Rule(Atom(rule.head.predicate, [twin(t) for t in rule.head.terms]),
+                [literal(lit) for lit in rule.body])
 
 
 @st.composite
@@ -394,7 +431,8 @@ def programs(draw) -> Program:
     ``q1`` on they may negate EDB relations and earlier predicates, so
     negation always reaches a lower stratum. ``q2`` reads ``q3`` and neither
     negates, so both share ``tc``'s stratum, in which alphabetical order is
-    the reverse of dependency order.
+    the reverse of dependency order. A predicate's second rule is drawn
+    independently or is the :func:`_twin` of its first.
     """
     recursion = draw(st.sampled_from([
         [_atom("tc", X, Y), _atom("e", Y, Z)],
@@ -407,12 +445,17 @@ def programs(draw) -> Program:
         arity = draw(st.integers(1, 2))
         positive = list(arities.items())
         negatable = [] if name in ("q3", "q2") else positive
-        first = draw(_rule(name, arity, positive, negatable))
+        second = draw(st.sampled_from(["none", "drawn", "twin"]))
+        # Only these constants have twins.
+        values = [0, 1, True, False] if second == "twin" else VALUES
+        first = draw(_rule(name, arity, positive, negatable, values))
         if name == "q2":
             first = Rule(first.head, [*first.body, _atom("q3", *[Variable("_")] * arities["q3"])])
         rules.append(first)
-        if draw(st.booleans()):
+        if second == "drawn":
             rules.append(draw(_rule(name, arity, positive, negatable)))
+        elif second == "twin":
+            rules.append(_twin(first))
         arities[name] = arity
     return Program(rules)
 
