@@ -84,8 +84,7 @@ def _brute_force_certain(query, schemas, tables, keys):
     """The textbook definition: intersect answers over *all* repairs."""
     space = build_repair_space(tables, schemas, keys, query)
     answers = None
-    for change_set in space.change_sets(max_repairs=10**9):
-        repaired = space.materialise(change_set)
+    for repaired in space.repairs(max_repairs=10**9):
         per_repair = set(query_answers(query, schemas, repaired))
         answers = per_repair if answers is None else answers & per_repair
     return tuple(sorted(answers or set(), key=_order_key))

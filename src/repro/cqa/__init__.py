@@ -42,7 +42,6 @@ from repro.cqa.rewrite import (
     build_edb,
     certain_answers,
     compile_certain,
-    naive_answers,
     naive_program,
 )
 
@@ -62,7 +61,6 @@ __all__ = [
     "compile_certain",
     "certain_answers",
     "naive_program",
-    "naive_answers",
     "build_edb",
     "EnumerationConfig",
     "EnumerationResult",

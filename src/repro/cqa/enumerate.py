@@ -5,10 +5,9 @@ queries, self-joins, cyclic key joins, non-key/non-key joins) are answered
 by materialising candidate repairs and intersecting the query answers.
 Under primary keys a repair keeps exactly one distinct tuple per block of
 key-equal tuples, so the repair space is the cross product of per-block
-choices. Each candidate repair is represented with the incremental
-engine's change-set machinery — a :class:`~repro.incremental.delta.ChangeSet`
-of :class:`~repro.incremental.delta.SourceRowsDelta` removals against the
-dirty base tables — and materialised by applying those removals.
+choices. :meth:`RepairSpace.repairs` walks that product and yields each
+candidate repair as a copy of the dirty base tables without the rows the
+repair drops.
 
 Two exact-preserving reductions keep the space small before any budget
 kicks in: blocks with a single distinct tuple are fixed, and blocks where
@@ -33,7 +32,6 @@ from repro.cqa.rewrite import build_edb, naive_program
 from repro.datalog.engine import query as run_query
 from repro.datalog.program import Program
 from repro.datalog.terms import Atom, Constant, Variable, hash_key
-from repro.incremental.delta import ChangeSet, SourceRowsDelta
 
 __all__ = [
     "EnumerationConfig",
@@ -97,10 +95,8 @@ class RepairSpace:
     choice_blocks: tuple[_Block, ...]
     total_repairs: int
 
-    def change_sets(
-        self, *, max_repairs: int, seed: int = 0
-    ) -> Iterator[ChangeSet]:
-        """Candidate repairs as removal change sets against the dirty base.
+    def repairs(self, *, max_repairs: int, seed: int = 0) -> Iterator[dict[str, list[tuple]]]:
+        """Candidate repairs, each as the repaired base tables (an EDB).
 
         Exhaustive when the space fits in ``max_repairs``, otherwise a
         seeded sample of ``max_repairs`` combinations.
@@ -116,40 +112,25 @@ class RepairSpace:
                 tuple(rng.randrange(width) for width in widths)
                 for _ in range(max_repairs)
             )
+        forced: dict[str, set[int]] = {}
+        for relation, indexes in self.forced:
+            forced.setdefault(relation, set()).update(indexes)
         for combo in combos:
-            yield self._combo_change_set(combo)
-
-    def _combo_change_set(self, combo: Sequence[int]) -> ChangeSet:
-        removed: dict[str, set[int]] = {
-            relation: set(indexes) for relation, indexes in self.forced
-        }
-        for block, choice in zip(self.choice_blocks, combo):
-            keep = set(block.choices[choice])
-            removed.setdefault(block.relation, set()).update(
-                index for index in block.rows if index not in keep
-            )
-        deltas = tuple(
-            SourceRowsDelta(relation=relation, removed_indexes=tuple(sorted(indexes)))
-            for relation, indexes in sorted(removed.items())
-            if indexes
-        )
-        return ChangeSet(deltas=deltas, origin="cqa.enumerate")
-
-    def materialise(self, change_set: ChangeSet) -> dict[str, list[tuple]]:
-        """Apply a repair change set to the dirty base tables."""
-        removed: dict[str, set[int]] = {}
-        for delta in change_set.deltas:
-            removed.setdefault(delta.relation, set()).update(delta.removed_indexes)
-        repaired: dict[str, list[tuple]] = {}
-        for relation, rows in self.edb.items():
-            dropped = removed.get(relation)
-            if not dropped:
-                repaired[relation] = rows
-            else:
-                repaired[relation] = [
-                    row for index, row in enumerate(rows) if index not in dropped
-                ]
-        return repaired
+            removed = {relation: set(indexes) for relation, indexes in forced.items()}
+            for block, choice in zip(self.choice_blocks, combo):
+                keep = set(block.choices[choice])
+                removed.setdefault(block.relation, set()).update(
+                    index for index in block.rows if index not in keep
+                )
+            repaired: dict[str, list[tuple]] = {}
+            for relation, rows in self.edb.items():
+                dropped = removed.get(relation)
+                repaired[relation] = (
+                    [row for index, row in enumerate(rows) if index not in dropped]
+                    if dropped
+                    else rows
+                )
+            yield repaired
 
 
 def _constant_tests(
@@ -326,10 +307,7 @@ def enumerate_certain(
     answers: set[tuple] | None = None
     evaluated = 0
     timed_out = False
-    for change_set in space.change_sets(
-        max_repairs=config.max_repairs, seed=config.seed
-    ):
-        repaired = space.materialise(change_set)
+    for repaired in space.repairs(max_repairs=config.max_repairs, seed=config.seed):
         per_repair = _repair_answers(query, schemas, repaired)
         answers = per_repair if answers is None else (answers & per_repair)
         evaluated += 1

@@ -35,7 +35,7 @@ actually discriminate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from repro.cqa.query import ConjunctiveQuery, RewritePlan, Var
 from repro.datalog.engine import query as run_query
@@ -48,7 +48,6 @@ __all__ = [
     "compile_certain",
     "certain_answers",
     "naive_program",
-    "naive_answers",
     "build_edb",
 ]
 
@@ -360,12 +359,3 @@ def naive_program(
     goal = Atom("_cqa_naive", tuple(Variable(name) for name in projected))
     return Program((Rule(goal, body),)), goal
 
-
-def naive_answers(
-    query: ConjunctiveQuery,
-    schemas: Mapping[str, Sequence[str]],
-    tables: Mapping[str, Any],
-) -> list[tuple]:
-    """Evaluate ``query`` directly over ``tables`` (no repair semantics)."""
-    program, goal = naive_program(query, schemas)
-    return run_query(program, goal, build_edb(tables))

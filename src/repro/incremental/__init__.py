@@ -1,10 +1,10 @@
 """Incremental re-wrangling: lineage-driven delta re-materialisation.
 
 The pay-as-you-go feedback loop is only cheap if iterating is cheap. This
-package turns a feedback-driven revision into a typed change set
-(:mod:`~repro.incremental.delta`), resolves it through the inverted
-why-provenance to the exact dirty rows (:mod:`~repro.incremental.impact`),
-and patches the materialised results, the provenance store and the derived
+package turns a feedback round or a source-row revision into a typed change
+set (:mod:`~repro.incremental.delta`), resolves it over the pipeline
+snapshots to the exact dirty rows (:mod:`~repro.incremental.impact`), and
+patches the materialised results, the provenance store and the derived
 facts in place instead of re-running the whole pipeline
 (:mod:`~repro.incremental.rewrangle`). Equality with the full pipeline is a
 checked contract (:mod:`~repro.incremental.validate`).
@@ -14,15 +14,8 @@ transducers import :mod:`~repro.incremental.state` at module load, and an
 eager engine import here would close that loop during bootstrap.
 """
 
-from repro.incremental.delta import (
-    ChangeSet,
-    FeedbackDelta,
-    FusionPolicyDelta,
-    MappingRevisionDelta,
-    RuleDelta,
-    SourceRowsDelta,
-)
-from repro.incremental.impact import DirtySet, ImpactIndex, cluster_map
+from repro.incremental.delta import ChangeSet, FeedbackDelta, SourceRowsDelta
+from repro.incremental.impact import DirtySet, cluster_map, resolve
 from repro.incremental.state import (
     INCREMENTAL_STATE_ARTIFACT_KEY,
     IncrementalState,
@@ -35,12 +28,9 @@ __all__ = [
     "ChangeSet",
     "FeedbackDelta",
     "SourceRowsDelta",
-    "RuleDelta",
-    "FusionPolicyDelta",
-    "MappingRevisionDelta",
     "DirtySet",
-    "ImpactIndex",
     "cluster_map",
+    "resolve",
     "IncrementalOutcome",
     "IncrementalWrangler",
     "IncrementalState",

@@ -11,8 +11,9 @@ almost entirely redundant.
 
 1. **assimilate** — the feedback-evaluation transducers run once (they are
    cheap: matches, candidate regeneration, cached scoring, selection);
-2. **resolve** — the change set is closed over the inverted provenance index
-   to the exact dirty row keys per result relation;
+2. **resolve** — the feedback and source-row deltas are closed over the
+   snapshots and the selected mappings to the exact dirty row keys per
+   result relation (:func:`~repro.incremental.impact.resolve`);
 3. **patch** — only the dirty driving rows re-execute, only their duplicate
    pairs re-score, only their clusters re-fuse, only their cells re-repair;
    the materialised table, the provenance store and the result facts are
@@ -37,8 +38,8 @@ from repro.feedback.transducers import apply_row_feedback, incorrect_marks
 from repro.fusion.duplicates import DuplicateDetector
 from repro.fusion.fusion import DataFuser
 from repro.fusion.transducers import DUPLICATES_ARTIFACT_KEY
-from repro.incremental.delta import ChangeSet, FeedbackDelta
-from repro.incremental.impact import DirtySet, ImpactIndex, cluster_map
+from repro.incremental.delta import ChangeSet
+from repro.incremental.impact import DirtySet, cluster_map, resolve
 from repro.incremental.state import (
     PHASE_FUSED,
     PHASE_PREFUSION,
@@ -121,12 +122,7 @@ class IncrementalOutcome:
 class IncrementalWrangler:
     """Applies a change set to materialised results by patching, not re-running."""
 
-    def __init__(
-        self,
-        kb: KnowledgeBase,
-        *,
-        registry: TransducerRegistry | None = None,
-    ):
+    def __init__(self, kb: KnowledgeBase, *, registry: TransducerRegistry):
         self._kb = kb
         self._registry = registry
         self._fuser = self._component("data_fusion", "fuser", DataFuser)
@@ -135,7 +131,7 @@ class IncrementalWrangler:
 
     def _component(self, transducer_name: str, attribute: str, fallback):
         """The pipeline's own component instance, so configs always agree."""
-        if self._registry is not None and transducer_name in self._registry:
+        if transducer_name in self._registry:
             return getattr(self._registry.get(transducer_name), attribute)
         return fallback()
 
@@ -158,8 +154,8 @@ class IncrementalWrangler:
            cached re-scoring, re-selection);
         C. verify the selection survived; diff the re-generated winner's
            leaves against the snapshot;
-        D. patch the structural part — source/rule/fusion deltas plus any
-           leaf whose assignments the revision changed (the cascade's second
+        D. patch the structural part — source-row deltas plus any leaf
+           whose assignments the revision changed (the cascade's second
            cycle, against the *revised* mapping);
         E. bookkeeping: mark the subsumed pipeline-tail transducers synced.
         """
@@ -182,9 +178,6 @@ class IncrementalWrangler:
         #: relation → (rows before the patch, rows after) — feeds the
         #: metric-statistics patch; phase D composes onto phase A's diff.
         row_diffs: dict[str, tuple[dict[str, tuple], dict[str, tuple]]] = {}
-        #: relation → row keys whose lineage this patch rewrote — feeds the
-        #: in-place impact-index update.
-        touched_lineage: dict[str, set[str]] = {}
 
         # Phase A — feedback patch against the pre-revision mappings.
         feedback_set = ChangeSet(
@@ -195,14 +188,13 @@ class IncrementalWrangler:
                 relation: rel_state.mapping for relation, rel_state in state.relations.items()
             }
             problem = self._patch_phase(
-                feedback_set, state, store, old_mappings, outcome, row_diffs, touched_lineage
+                feedback_set, state, store, old_mappings, outcome, row_diffs
             )
             if problem is not None:
                 return self._fallback(change_set, problem)
 
         # Phase B — evaluation-side transducers. Which ones must run depends
-        # on what changed: feedback re-evaluates, source changes re-match,
-        # rule changes only re-score.
+        # on what changed: feedback re-evaluates, source changes re-match.
         needed: set[str] = set()
         if feedback_set:
             needed |= {
@@ -213,12 +205,8 @@ class IncrementalWrangler:
             }
         if change_set.source_deltas():
             needed |= set(_EVALUATION_ORDER) - {"mapping_evaluation"}
-        if change_set.rule_deltas():
-            needed |= {"mapping_quality", "mapping_selection"}
         evaluated = False
         if needed:
-            if self._registry is None:
-                return self._fallback(change_set, "no registry to assimilate feedback with")
             missing = [n for n in needed if n not in self._registry]
             if missing:
                 return self._fallback(change_set, f"missing transducers: {sorted(missing)}")
@@ -263,10 +251,7 @@ class IncrementalWrangler:
             rel_state.mapping = mapping
 
         # Phase D — structural patch against the revised mappings.
-        structural = ChangeSet(
-            deltas=tuple(delta for delta in change_set if not isinstance(delta, FeedbackDelta)),
-            origin=change_set.origin,
-        )
+        structural = ChangeSet(deltas=tuple(change_set.source_deltas()), origin=change_set.origin)
         if structural or revised_leaves:
             problem = self._patch_phase(
                 structural,
@@ -275,7 +260,6 @@ class IncrementalWrangler:
                 selected,
                 outcome,
                 row_diffs,
-                touched_lineage,
                 revised_leaves=revised_leaves,
             )
             if problem is not None:
@@ -294,28 +278,13 @@ class IncrementalWrangler:
         state.observe_feedback_applied(
             {d.feedback_id for d in change_set.feedback_deltas() if d.feedback_id}
         )
-        if self._registry is not None:
-            synced = _PATCHED_TRANSDUCERS + ((_METRIC_TRANSDUCER,) if metrics_patched else ())
-            for name in synced:
-                if name in self._registry:
-                    self._registry.get(name).mark_synced(kb)
+        synced = _PATCHED_TRANSDUCERS + ((_METRIC_TRANSDUCER,) if metrics_patched else ())
+        for name in synced:
+            if name in self._registry:
+                self._registry.get(name).mark_synced(kb)
         outcome.reason = "patched in place"
         outcome.details["change_set"] = change_set.describe()
         return outcome
-
-    def _impact_index(self, state, store: ProvenanceStore) -> ImpactIndex:
-        """The session's persistent impact index (created on first need).
-
-        The index survives across revisions: each patch updates the touched
-        rows' entries in place (:meth:`ImpactIndex.apply_change_set`), so
-        the provenance store is inverted at most once per materialisation —
-        never once per revision.
-        """
-        index = state.impact
-        if index is None or index.store is not store:
-            index = ImpactIndex(store, state)
-            state.impact = index
-        return index
 
     def _patch_phase(
         self,
@@ -325,7 +294,6 @@ class IncrementalWrangler:
         mappings: Mapping[str, Any],
         outcome: IncrementalOutcome,
         row_diffs: dict[str, tuple[dict[str, tuple], dict[str, tuple]]],
-        touched_lineage: dict[str, set[str]],
         *,
         revised_leaves: Mapping[str, set[str]] | None = None,
     ) -> str | None:
@@ -334,16 +302,12 @@ class IncrementalWrangler:
         Returns a problem description on any unsupported shape (the caller
         falls back to the full pipeline, which overwrites partial patches).
         """
-        index = self._impact_index(state, store).refresh(
-            mappings=mappings, catalog=self._kb.catalog
-        )
-        dirty_map = change_set.row_key_closure(index)
+        dirty_map = resolve(change_set, state, mappings, self._kb.catalog)
         for relation, sources in (revised_leaves or {}).items():
             entry = dirty_map.setdefault(relation, DirtySet(relation=relation))
             entry.rebuild_sources |= sources
             entry.reasons.append(f"mapping assignments changed for {sorted(sources)}")
         try:
-            phase_touched: dict[str, set[str]] = {}
             for relation, dirty in sorted(dirty_map.items()):
                 rel_state = state.get(relation)
                 if rel_state is None or dirty.full_rebuild:
@@ -357,19 +321,13 @@ class IncrementalWrangler:
                 if mapping is None:
                     return f"no mapping available to patch {relation}"
                 problem = self._patch_relation(
-                    relation, rel_state, dirty, mapping, store, outcome, row_diffs, phase_touched
+                    relation, rel_state, dirty, mapping, store, outcome, row_diffs
                 )
                 if problem is not None:
                     rel_state.mark_stale(problem)
                     return problem
                 if relation not in outcome.relations:
                     outcome.relations.append(relation)
-            # The patched rows' lineage changed: splice their entries into
-            # the inverted maps so the next resolution (including phase D of
-            # this very apply) reads current provenance without re-inverting.
-            index.apply_change_set(phase_touched)
-            for relation, keys in phase_touched.items():
-                touched_lineage.setdefault(relation, set()).update(keys)
         except Exception as exc:  # noqa: BLE001 — any patch failure must fall back
             return f"patch failed: {type(exc).__name__}: {exc}"
         return None
@@ -499,11 +457,6 @@ class IncrementalWrangler:
         re-selection nudge makes it runnable, so the caller's ``run()``
         rebuilds the results rather than quiescing over a half-patched KB.
         """
-        state = incremental_state(self._kb, create=False)
-        if state is not None:
-            # A half-applied patch may have half-updated the inverted index;
-            # the full run re-records lineage and the next revision re-inverts.
-            state.impact = None
         if not evaluated:
             kb = self._kb
             for mapping_id, rank in list(kb.facts(Predicates.MAPPING_SELECTED)):
@@ -545,7 +498,6 @@ class IncrementalWrangler:
         store: ProvenanceStore,
         outcome: IncrementalOutcome,
         row_diffs: dict[str, tuple[dict[str, tuple], dict[str, tuple]]],
-        touched_lineage: dict[str, set[str]],
     ) -> str | None:
         """Patch one relation in place; returns a problem string on failure."""
         kb = self._kb
@@ -671,15 +623,11 @@ class IncrementalWrangler:
         all_pairs[relation] = []
         kb.store_artifact(DUPLICATES_ARTIFACT_KEY, all_pairs)
 
-        # (i) bookkeeping for the downstream patches: the before/after row
-        # diff (metric statistics) and every key whose lineage this patch
-        # rewrote (impact-index maintenance). Phase D composes onto phase
-        # A's diff, so the first captured "before" is kept.
+        # (i) bookkeeping for the metric-statistics patch: the before/after
+        # row diff. Phase D composes onto phase A's diff, so the first
+        # captured "before" is kept.
         before = row_diffs[relation][0] if relation in row_diffs else current
         row_diffs[relation] = (before, dict(zip(emitted, rows)))
-        touched_lineage.setdefault(relation, set()).update(
-            recompute | fresh | removed | dropped | pass2_dropped | set(final_updates)
-        )
         if dirty.appended or dirty.rebuild_sources:
             rel_state.source_volumes = mapping_source_volumes(kb.catalog, mapping)
         return None

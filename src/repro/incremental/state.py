@@ -125,11 +125,6 @@ class IncrementalState:
         #: the materialised results (applied by a full pipeline pass or an
         #: incremental patch). Only unseen annotations dirty rows.
         self.seen_feedback: set[str] = set()
-        #: The session's persistent ImpactIndex (inverted provenance). Built
-        #: lazily by the first resolution that needs it, patched in place by
-        #: the engine afterwards, and dropped whenever a materialisation
-        #: resets the lineage it inverts.
-        self.impact = None
         #: The quality-metric sufficient statistics as last stashed by the
         #: quality transducer (shared with the ``quality_stats`` artifact).
         self.quality = None
@@ -150,9 +145,6 @@ class IncrementalState:
         """A result was (re-)materialised: reset the relation's snapshot."""
         if not self.enabled:
             return
-        # The lineage underpinning the inverted impact index was re-recorded
-        # wholesale; the next revision re-inverts it once and patches on.
-        self.impact = None
         state = RelationState(
             relation=table.name,
             mapping_id=mapping.mapping_id,
@@ -236,24 +228,6 @@ class IncrementalState:
         if not self.enabled:
             return
         self.quality = stash
-
-    # -- summaries ------------------------------------------------------------
-
-    def stats(self) -> dict[str, Any]:
-        """A compact, picklable summary (diagnostics, batch results)."""
-        return {
-            "enabled": self.enabled,
-            "relations": {
-                name: {
-                    "phase": state.phase,
-                    "rows": len(state.order),
-                    "pairs": len(state.pairs),
-                    "stale": state.stale,
-                }
-                for name, state in sorted(self.relations.items())
-            },
-            "seen_feedback": len(self.seen_feedback),
-        }
 
     def __repr__(self) -> str:
         return (

@@ -98,7 +98,8 @@ class LineageFeedbackPropagator:
         the bridge from the feedback loop into
         :mod:`repro.incremental`: annotations become
         :class:`~repro.incremental.delta.FeedbackDelta` objects whose row
-        keys the impact index closes over the recorded lineage.
+        keys :func:`~repro.incremental.impact.resolve` fans out over the
+        duplicate clusters.
         """
         from repro.incremental.delta import ChangeSet, FeedbackDelta
 

@@ -321,8 +321,8 @@ class ProvenanceStore:
     def iter_tuples(self, relation: str) -> Iterable[tuple[str, TupleLineage]]:
         """Iterate ``(row key, lineage)`` pairs of one relation.
 
-        This is the bulk-read API the impact index uses to invert the store
-        (source ref → downstream row keys) without touching internals.
+        This is the bulk-read API the incremental state uses to snapshot a
+        relation's materialisation-time lineage without touching internals.
         """
         return self._tuples.get(relation, {}).items()
 

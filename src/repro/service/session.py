@@ -54,7 +54,7 @@ from repro.wrangler.config import WranglerConfig
 __all__ = ["CHECKPOINT_FORMAT", "SessionStore", "WranglingSession"]
 
 #: Version tag of the checkpoint container; bump on incompatible layout.
-CHECKPOINT_FORMAT = 1
+CHECKPOINT_FORMAT = 2
 
 
 def _new_session_id() -> str:
@@ -345,14 +345,23 @@ class WranglingSession:
         """Rebuild a session from a checkpoint file.
 
         Raises ``ValueError`` on a corrupt or incompatible checkpoint — a
-        truncated file must fail loudly, never resurrect partial state.
+        truncated file must fail loudly, never resurrect partial state. A
+        payload this build cannot unpickle (say, one naming a class an older
+        build had) is incompatible too.
         """
         with open(path, "rb") as handle:
             header = handle.readline().strip()
             payload = handle.read()
         if hashlib.sha256(payload).hexdigest().encode("ascii") != header:
             raise ValueError(f"checkpoint {path!r} is corrupt (digest mismatch)")
-        container = pickle.loads(payload)
+        # The failures the pickle documentation names for unreadable data.
+        try:
+            container = pickle.loads(payload)
+        except (pickle.UnpicklingError, AttributeError, EOFError, ImportError, IndexError) as exc:
+            raise ValueError(
+                f"checkpoint {path!r} is unreadable by this build "
+                f"({type(exc).__name__}: {exc})"
+            ) from exc
         if not isinstance(container, dict) or "session" not in container:
             raise ValueError(f"checkpoint {path!r} has no session payload")
         if container.get("format") != CHECKPOINT_FORMAT:

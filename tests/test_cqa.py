@@ -67,8 +67,7 @@ def brute_force_certain(query, schemas, tables, keys):
     """The textbook definition: intersect answers over *all* repairs."""
     space = build_repair_space(tables, schemas, keys, query)
     answers = None
-    for change_set in space.change_sets(max_repairs=10**9):
-        repaired = space.materialise(change_set)
+    for repaired in space.repairs(max_repairs=10**9):
         per_repair = set(query_answers(query, schemas, repaired))
         answers = per_repair if answers is None else answers & per_repair
     return tuple(sorted(answers or set(), key=_order_key))
@@ -298,6 +297,9 @@ class TestEnumeration:
         # only k0's block is relevant to the constant filter
         assert len(space.choice_blocks) == 1
         assert space.total_repairs == 2
+        # every yielded instance is a repair: one tuple left per key block
+        for repaired in space.repairs(max_repairs=10):
+            assert sorted(key for key, _value in repaired["t"]) == [f"k{i}" for i in range(8)]
         result = enumerate_certain(query, schemas, tables, keys)
         assert result.exact
         assert result.answers == brute_force_certain(query, schemas, tables, keys)
@@ -349,10 +351,7 @@ def test_certain_answers_property(case):
 
     certain = set(result.answers)
     space = build_repair_space(tables, schemas, keys, query)
-    for change_set in itertools.islice(
-        space.change_sets(max_repairs=10**9), 0, 20
-    ):
-        repaired = space.materialise(change_set)
+    for repaired in itertools.islice(space.repairs(max_repairs=10**9), 0, 20):
         assert certain <= set(query_answers(query, schemas, repaired))
 
 

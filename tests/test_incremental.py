@@ -7,21 +7,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.facts import Feedback, Predicates
+from repro.core.knowledge_base import KnowledgeBase
 from repro.feedback.annotations import simulate_feedback
-from repro.fusion.fusion import DataFuser, FusionPolicy
-from repro.incremental import (
-    ChangeSet,
-    FeedbackDelta,
-    FusionPolicyDelta,
-    ImpactIndex,
-    MappingRevisionDelta,
-    RuleDelta,
-    SourceRowsDelta,
-    cluster_map,
-)
+from repro.incremental import ChangeSet, FeedbackDelta, SourceRowsDelta, cluster_map, resolve
 from repro.incremental.validate import _prepare, check_incremental
-from repro.quality.transducers import CFD_ARTIFACT_KEY
-from repro.quality.cfd_learning import LearnedCFDs
+from repro.provenance.feedback import LineageFeedbackPropagator
 from repro.scenarios.synth import SynthConfig, generate_synthetic
 from repro.service.api import AppendRequest, FeedbackRequest
 from repro.wrangler.config import WranglerConfig
@@ -59,43 +49,23 @@ def twin_sessions(config: SynthConfig, wrangler_config: WranglerConfig | None = 
 
 
 class TestChangeSetAlgebra:
-    def test_union_deduplicates_preserving_order(self):
-        a = ChangeSet((FeedbackDelta("r", "k1", "x", False),), origin="a")
-        b = ChangeSet(
-            (FeedbackDelta("r", "k1", "x", False), FeedbackDelta("r", "k2", None, True)),
-            origin="b",
-        )
-        merged = a | b
-        assert len(merged) == 2
-        assert merged.deltas[0].row_key == "k1"
-        assert merged.origin == "a + b"
-
-    def test_restrict_to_table(self):
-        deltas = ChangeSet(
-            (
-                FeedbackDelta("res_a", "k", "x", False),
-                FeedbackDelta("res_b", "k", "x", False),
-                SourceRowsDelta("src1", appended=((1,),)),
-                FusionPolicyDelta(relation="res_a"),
-                MappingRevisionDelta("res", "m2"),
-            )
-        )
-        restricted = deltas.restrict_to_table("res_a", source_relations=["src2"])
-        kinds = [delta.kind for delta in restricted]
-        # src1 is not a source of res_a, res_b feedback is elsewhere.
-        assert kinds == ["feedback", "fusion_policy", "mapping"]
-        # Without source knowledge, source deltas are kept conservatively.
-        assert "source_rows" in [d.kind for d in deltas.restrict_to_table("res_a")]
-
-    def test_from_feedback_maps_any_attribute_to_none(self):
-        annotations = [
+    def test_emit_deltas_maps_any_attribute_to_none(self):
+        kb = KnowledgeBase()
+        for annotation in (
             Feedback("f1", "res", "k1", Predicates.ANY_ATTRIBUTE, False),
             Feedback("f2", "res", "k2", "price", True),
-        ]
-        change_set = ChangeSet.from_feedback(annotations)
-        assert change_set.feedback_deltas()[0].attribute is None
-        assert change_set.feedback_deltas()[1].attribute == "price"
-        assert change_set.describe()["by_kind"] == {"feedback": 2}
+            Feedback("f3", "res", "k3", "price", False),
+        ):
+            kb.assert_tuple(annotation.to_fact())
+        propagator = LineageFeedbackPropagator()
+        change_set = propagator.emit_deltas(kb)
+        by_id = {delta.feedback_id: delta for delta in change_set.feedback_deltas()}
+        assert by_id["f1"].attribute is None
+        assert by_id["f2"].attribute == "price" and by_id["f2"].correct
+        assert change_set.describe()["by_kind"] == {"feedback": 3}
+        # Annotations whose table effects are already materialised are skipped.
+        unseen = propagator.emit_deltas(kb, seen={"f1", "f3"})
+        assert [delta.feedback_id for delta in unseen] == ["f2"]
 
     def test_changes_table_only_for_negative_feedback(self):
         assert FeedbackDelta("r", "k", "x", correct=False).changes_table
@@ -113,53 +83,14 @@ class TestClusterMap:
         assert cluster_map([]) == {}
 
 
-class TestImpactIndex:
-    @pytest.fixture(scope="class")
-    def session(self):
-        scenario = generate_synthetic(
-            SynthConfig(family="shipment_tracking", entities=150, seed=4)
-        )
-        return _prepare(scenario, WranglerConfig())
-
-    def index(self, wrangler):
-        relation = wrangler.result_name()
-        state = wrangler.incremental
-        mapping = wrangler.selected_mapping()
-        return (
-            ImpactIndex(
-                wrangler.provenance,
-                state,
-                mappings={relation: mapping},
-                catalog=wrangler.kb.catalog,
-            ),
-            relation,
-        )
-
-    def test_lookup_ref_fans_out_to_joined_rows(self, session):
-        index, relation = self.index(session)
-        downstream = index.downstream_of_source("depots")
-        assert downstream, "joined depot rows must appear in the inverted index"
-        assert all(rel == relation for rel, _key in downstream)
-        # The driving rows' keys are shipfeed rows, not depot rows.
-        assert all(key.startswith("shipfeed") for _rel, key in downstream)
-
-    def test_repair_fan_out_names_exact_cells(self, session):
-        index, relation = self.index(session)
-        learned = session.kb.get_artifact(CFD_ARTIFACT_KEY)
-        repaired = set()
-        for cfd in learned.cfds:
-            repaired |= index.repaired_by(cfd.cfd_id)
-        if not repaired:  # pragma: no cover - scenario-dependent
-            pytest.skip("no repairs recorded in this scenario")
-        assert all(rel == relation for rel, _key in repaired)
-
+class TestResolve:
     def test_feedback_closure_includes_cluster_members(self):
         # product_catalog over-merges aggressively, so clusters are plentiful.
         scenario = generate_synthetic(
             SynthConfig(family="product_catalog", entities=120, seed=2)
         )
         wrangler = _prepare(scenario, WranglerConfig())
-        index, relation = self.index(wrangler)
+        relation = wrangler.result_name()
         state = wrangler.incremental.get(relation)
         clustered = cluster_map(state.pairs)
         assert clustered, "expected duplicate clusters in product_catalog"
@@ -167,7 +98,12 @@ class TestImpactIndex:
         change_set = ChangeSet(
             (FeedbackDelta(relation, member, "price", correct=False, feedback_id="fx"),)
         )
-        dirty = change_set.row_key_closure(index)
+        dirty = resolve(
+            change_set,
+            wrangler.incremental,
+            {relation: wrangler.selected_mapping()},
+            wrangler.kb.catalog,
+        )
         assert clustered[member] <= dirty[relation].recompute
 
 
@@ -305,98 +241,22 @@ class TestStructuralDeltas:
         source = scenario.sources[0]
         first = [source.tuples()[0]]
         second = [source.tuples()[1], source.tuples()[2]]
-        # Two appends combined into one change set: both deltas must resolve
-        # to their own tail positions, not just the most recent append's.
+        # Two appends in one change set: both deltas must resolve to their
+        # own tail positions, not just the most recent append's.
         table = incremental.kb.get_table(source.name)
         incremental.kb.update_table(table.extend(first + second))
         change_set = ChangeSet(
-            (SourceRowsDelta(source.name, appended=tuple(first)),)
-        ) | ChangeSet((SourceRowsDelta(source.name, appended=tuple(second)),))
+            (
+                SourceRowsDelta(source.name, appended=tuple(first)),
+                SourceRowsDelta(source.name, appended=tuple(second)),
+            )
+        )
         result = incremental.session().apply(change_set)
         append(full, source.name, first + second, incremental=False)
         assert tables_equal(incremental.result(), full.result())
         outcome = result.incremental
         if outcome["applied"]:
             assert outcome["rows_rematerialised"] >= 3
-
-    def test_cfd_removal_reverts_only_its_repairs(self):
-        scenario, incremental, full = twin_sessions(
-            SynthConfig(family="shipment_tracking", entities=150, seed=4)
-        )
-        learned = incremental.kb.get_artifact(CFD_ARTIFACT_KEY)
-        index = ImpactIndex(
-            incremental.provenance,
-            incremental.incremental,
-            mappings={incremental.result_name(): incremental.selected_mapping()},
-            catalog=incremental.kb.catalog,
-        )
-        victim = next(
-            (cfd for cfd in learned.cfds if index.repaired_by(cfd.cfd_id)), None
-        )
-        if victim is None:  # pragma: no cover - scenario-dependent
-            pytest.skip("no repairing CFD in this scenario")
-
-        def retire(wrangler):
-            current = wrangler.kb.get_artifact(CFD_ARTIFACT_KEY)
-            remaining = [cfd for cfd in current.cfds if cfd.cfd_id != victim.cfd_id]
-            witnesses = {
-                cfd_id: witness
-                for cfd_id, witness in current.witnesses.items()
-                if cfd_id != victim.cfd_id
-            }
-            wrangler.kb.store_artifact(
-                CFD_ARTIFACT_KEY, LearnedCFDs(cfds=remaining, witnesses=witnesses)
-            )
-            wrangler.kb.retract_where(Predicates.CFD, p0=victim.cfd_id)
-
-        retire(incremental)
-        result = incremental.session().apply(
-            ChangeSet((RuleDelta(cfd_ids=(victim.cfd_id,), change="removed"),))
-        )
-        retire(full)
-        full.run("revision")
-        assert tables_equal(incremental.result(), full.result())
-        outcome = result.incremental
-        if outcome["applied"]:
-            assert outcome["rows_recomputed"] > 0
-
-    def test_fusion_policy_flip_refuses_only_clusters(self):
-        config = SynthConfig(family="product_catalog", entities=120, seed=2)
-        scenario = generate_synthetic(config)
-        wrangler = _prepare(scenario, WranglerConfig())
-        relation = wrangler.result_name()
-        state = wrangler.incremental.get(relation)
-        if not state.pairs:  # pragma: no cover - scenario-dependent
-            pytest.skip("no duplicate clusters in this scenario")
-        before = dict(zip(wrangler.result().row_keys(), wrangler.result().tuples()))
-        # Flip the price conflict policy and re-fuse only the clusters.
-        wrangler.registry.get("data_fusion")._fuser = DataFuser(
-            attribute_policies={"price": FusionPolicy.MAX}
-        )
-        result = wrangler.session().apply(ChangeSet((FusionPolicyDelta(),)))
-        outcome = result.incremental
-        assert outcome["applied"]
-        assert outcome["clusters_refused"] > 0
-        after = dict(zip(wrangler.result().row_keys(), wrangler.result().tuples()))
-        clustered = set(cluster_map(state.pairs))
-        for key in set(before) & set(after):
-            if key not in clustered:
-                assert before[key] == after[key], "non-cluster rows must not change"
-
-    def test_mapping_revision_delta_forces_rebuild(self):
-        scenario, incremental, full = twin_sessions(
-            SynthConfig(family="product_catalog", entities=100, seed=1)
-        )
-        mapping = incremental.selected_mapping()
-        result = incremental.session().apply(
-            ChangeSet(
-                (MappingRevisionDelta(mapping.target_relation, mapping.mapping_id),)
-            )
-        )
-        # A mapping revision is a rebuild, not a patch — and the fallback's
-        # full pass must land on the same result.
-        assert not result.incremental["applied"]
-        assert tables_equal(incremental.result(), full.result())
 
 
 class TestRowRemoval:
@@ -444,8 +304,8 @@ class TestRowRemoval:
 
 
 class TestIncrementalMetrics:
-    """ISSUE 5: metric facts patch from sufficient statistics, and the
-    impact index updates in place instead of re-inverting per revision."""
+    """Metric facts patch from sufficient statistics instead of rescanning
+    the result after every revision."""
 
     def feedback_round(self, scenario, session, round_number, budget=5):
         annotations = simulate_feedback(
@@ -477,42 +337,6 @@ class TestIncrementalMetrics:
             assert outcome["applied"], outcome
             assert relation in outcome["metrics_patched"]
             self.assert_stats_exact(session)
-        # Feedback-only closures never need the inverted store at all —
-        # the index must not have been built even once.
-        index = session.incremental.impact
-        assert index is not None and index.builds == 0
-
-    def test_rule_removal_inverts_once_then_patches_in_place(self):
-        scenario = generate_synthetic(
-            SynthConfig(family="shipment_tracking", entities=150, seed=4)
-        )
-        session = _prepare(scenario, WranglerConfig())
-        learned = session.kb.get_artifact(CFD_ARTIFACT_KEY)
-        assert learned is not None and learned.cfds
-        victim = learned.cfds[-1]
-        remaining = [cfd for cfd in learned.cfds if cfd.cfd_id != victim.cfd_id]
-        witnesses = {
-            cfd_id: witness
-            for cfd_id, witness in learned.witnesses.items()
-            if cfd_id != victim.cfd_id
-        }
-        session.kb.store_artifact(
-            CFD_ARTIFACT_KEY, LearnedCFDs(cfds=remaining, witnesses=witnesses)
-        )
-        session.kb.retract_where(Predicates.CFD, p0=victim.cfd_id)
-        outcome = session.session().apply(
-            ChangeSet((RuleDelta(cfd_ids=(victim.cfd_id,), change="removed"),)),
-            evaluate=False,
-        ).incremental
-        index = session.incremental.impact
-        if outcome["applied"]:
-            assert index is not None and index.builds <= 1
-            builds_after_rule = index.builds
-            # A follow-up feedback round reuses the same inversion.
-            follow_up = self.feedback_round(scenario, session, 9)
-            if follow_up["applied"]:
-                assert session.incremental.impact.builds == builds_after_rule
-                self.assert_stats_exact(session)
 
     def test_source_append_patches_source_metrics(self):
         scenario = generate_synthetic(SynthConfig(family="sensor_log", entities=90, seed=6))

@@ -215,6 +215,33 @@ class TestCheckpointRestore:
         with pytest.raises(ValueError, match="format"):
             WranglingSession.restore(str(path))
 
+    def test_checkpoint_naming_a_missing_class_is_rejected(self, tmp_path, monkeypatch):
+        """A checkpoint with a valid digest whose payload names a class this
+        build lacks (as an older build's checkpoint may) is incompatible:
+        ``restore`` raises ``ValueError`` and HTTP restore answers 400."""
+        import hashlib
+
+        import repro.incremental.impact as impact
+        from repro.service.server import WranglingServer
+        from repro.service.session import CHECKPOINT_FORMAT
+
+        class Gone:
+            pass
+
+        Gone.__module__, Gone.__qualname__ = impact.__name__, "NoSuchIndex"
+        monkeypatch.setattr(impact, "NoSuchIndex", Gone, raising=False)
+        payload = pickle.dumps({"format": CHECKPOINT_FORMAT, "session": Gone()})
+        monkeypatch.delattr(impact, "NoSuchIndex")
+        path = tmp_path / "old.ckpt"
+        path.write_bytes(hashlib.sha256(payload).hexdigest().encode() + b"\n" + payload)
+
+        with pytest.raises(ValueError, match="unreadable"):
+            WranglingSession.restore(str(path))
+        status, body, _headers = WranglingServer(SessionStore())._dispatch(
+            "POST", "/sessions/old/restore", {"path": str(path)})
+        assert status == 400
+        assert "NoSuchIndex" in body["error"]
+
     def test_restored_session_serves_identical_feedback(self):
         """The tentpole acceptance criterion: checkpoint → kill → restore →
         feedback must be bit-identical to an uninterrupted session."""
