@@ -21,7 +21,6 @@ from repro.incremental.state import (
     IncrementalState,
     RelationState,
     incremental_state,
-    mapping_source_volumes,
 )
 
 __all__ = [
@@ -37,7 +36,6 @@ __all__ = [
     "RelationState",
     "INCREMENTAL_STATE_ARTIFACT_KEY",
     "incremental_state",
-    "mapping_source_volumes",
     "ValidationReport",
     "check_incremental",
 ]

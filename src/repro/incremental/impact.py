@@ -189,13 +189,14 @@ def _resolve_source(
             entry.full_rebuild = True
             entry.reasons.append(f"source {delta.relation} changed, mapping unknown")
             continue
+        appended = appended_indexes.get(id(delta), ())
         for leaf in mapping.leaf_mappings():
             if leaf.sources[0] == delta.relation:
-                _resolve_driving_source(
-                    delta, dirty_set(relation), appended_indexes.get(id(delta), ())
-                )
+                _resolve_driving_source(delta, dirty_set(relation), appended)
             elif delta.relation in leaf.sources[1:]:
-                _resolve_lookup_source(delta, leaf, rel_state, catalog, dirty_set(relation))
+                _resolve_lookup_source(
+                    delta, leaf, rel_state, catalog, dirty_set(relation), appended
+                )
 
 
 def _resolve_driving_source(
@@ -212,7 +213,12 @@ def _resolve_driving_source(
 
 
 def _resolve_lookup_source(
-    delta: SourceRowsDelta, leaf, rel_state: RelationState, catalog: Any, entry: DirtySet
+    delta: SourceRowsDelta,
+    leaf,
+    rel_state: RelationState,
+    catalog: Any,
+    entry: DirtySet,
+    appended: Iterable[int],
 ) -> None:
     prefix = f"{leaf.sources[0]}:"
     if delta.removed_indexes:
@@ -226,7 +232,7 @@ def _resolve_lookup_source(
     # An appended lookup row only changes driving rows it newly matches:
     # existing matches keep winning (first-match semantics), so only
     # driving rows whose join key equals a new row's key are affected.
-    join_keys = _appended_join_keys(delta, leaf, catalog)
+    join_keys = _appended_join_keys(delta, leaf, catalog, appended)
     if join_keys is None:
         entry.rematerialise |= {key for key in rel_state.order if key.startswith(prefix)}
         entry.reasons.append(f"lookup source {delta.relation} changed (no join key)")
@@ -242,8 +248,13 @@ def _resolve_lookup_source(
     entry.reasons.append(f"{len(delta.appended)} rows appended to lookup source {delta.relation}")
 
 
-def _appended_join_keys(delta: SourceRowsDelta, leaf, catalog: Any):
-    """(driving join attribute, normalised appended key values) or None."""
+def _appended_join_keys(delta: SourceRowsDelta, leaf, catalog: Any, appended: Iterable[int]):
+    """(driving join attribute, normalised join keys of the appended rows) or None.
+
+    The keys are read from the lookup table at the ``appended`` positions,
+    as stored there (coerced to the lookup's types), not from the raw
+    values the delta carries.
+    """
     driving_attr = other_attr = None
     for condition in leaf.join_conditions:
         if (
@@ -262,6 +273,7 @@ def _appended_join_keys(delta: SourceRowsDelta, leaf, catalog: Any):
     if other_attr not in lookup.schema:
         return None
     position = lookup.schema.position(other_attr)
-    keys = {normalise_key(row[position]) for row in delta.appended if position < len(row)}
+    rows = lookup.tuples()
+    keys = {normalise_key(rows[index][position]) for index in appended}
     keys.discard(None)
     return driving_attr, keys

@@ -45,7 +45,6 @@ from repro.incremental.state import (
     PHASE_PREFUSION,
     RelationState,
     incremental_state,
-    mapping_source_volumes,
 )
 from repro.mapping.execution import MappingExecutor
 from repro.mapping.transducers import result_relation_name, selected_mapping
@@ -628,8 +627,6 @@ class IncrementalWrangler:
         # captured "before" is kept.
         before = row_diffs[relation][0] if relation in row_diffs else current
         row_diffs[relation] = (before, dict(zip(emitted, rows)))
-        if dirty.appended or dirty.rebuild_sources:
-            rel_state.source_volumes = mapping_source_volumes(kb.catalog, mapping)
         return None
 
     # -- patch internals -------------------------------------------------------

@@ -31,25 +31,8 @@ __all__ = [
     "RelationState",
     "IncrementalState",
     "incremental_state",
-    "mapping_source_volumes",
 ]
 
-
-def mapping_source_volumes(catalog, mapping) -> tuple[tuple[str, int], ...]:
-    """(source relation, row count) fingerprint of a mapping's inputs.
-
-    Row counts stand in for source contents — sources are logically
-    immutable apart from explicit row appends/removals, which change their
-    counts (the same convention the mapping base-score cache uses). A
-    snapshot whose fingerprint matches the live catalog was materialised
-    from the sources as they stand now.
-    """
-    volumes = []
-    for relation in sorted(mapping.all_sources()):
-        if relation not in catalog:
-            return ()
-        volumes.append((relation, len(catalog.get(relation))))
-    return tuple(volumes)
 
 #: Artifact key under which the session's :class:`IncrementalState` lives.
 INCREMENTAL_STATE_ARTIFACT_KEY = "incremental_state"
@@ -82,10 +65,6 @@ class RelationState:
     pairs: dict[tuple[str, str], float] = field(default_factory=dict)
     #: key → lineage recorded at materialisation time (before any override).
     base_lineage: dict[str, TupleLineage] = field(default_factory=dict)
-    #: (source relation, row count) fingerprint of the mapping's inputs at
-    #: materialisation time — while it matches the live catalog, ``base``
-    #: equals what a fresh execution of ``mapping`` would produce.
-    source_volumes: tuple = ()
     #: Where in the pipeline the snapshot currently is.
     phase: str = PHASE_MATERIALISED
     #: Set when the observed pipeline left the single-fusion-pass shape the
@@ -136,11 +115,7 @@ class IncrementalState:
     # -- pipeline hooks -------------------------------------------------------
 
     def observe_materialised(
-        self,
-        table: Table,
-        mapping: Any,
-        store: ProvenanceStore | None = None,
-        catalog: Any = None,
+        self, table: Table, mapping: Any, store: ProvenanceStore | None = None
     ) -> None:
         """A result was (re-)materialised: reset the relation's snapshot."""
         if not self.enabled:
@@ -151,8 +126,6 @@ class IncrementalState:
             mapping=mapping,
             schema=table.schema,
         )
-        if catalog is not None:
-            state.source_volumes = mapping_source_volumes(catalog, mapping)
         rows = table.tuples()
         keys = table.row_keys()
         state.order = list(keys)

@@ -10,6 +10,12 @@ round that the materialised result tables are row-for-row equal (same rows,
 same order, same values), the same mapping is selected, and the revised
 match scores agree.
 
+Two more contracts ride along: a session checkpointed and restored before
+every round must equal one that never stopped (:func:`check_restored`), and
+appended source rows patched incrementally must equal a full re-run, with
+every candidate's cached ``mapping_score`` facts equal to a from-scratch
+re-score (:func:`check_appends`).
+
 Used three ways:
 
 - as a library (:func:`check_incremental`) by the property-based tests;
@@ -18,23 +24,33 @@ Used three ways:
 - as a CLI::
 
       PYTHONPATH=src python -m repro.incremental.validate --check \
-          --family product_catalog --entities 2000 --rounds 3 --budget 20
+          --family product_catalog --entities 2000 --rounds 3 --budget 20 \
+          [--contract incremental|restore|append]
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import time
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 from repro.core.facts import Predicates
 from repro.feedback.annotations import simulate_feedback
+from repro.mapping.transducers import score_candidates
 from repro.scenarios.base import Scenario
 from repro.scenarios.synth import SynthConfig, generate_synthetic
 from repro.wrangler.config import WranglerConfig
 
-__all__ = ["RoundCheck", "ValidationReport", "check_incremental", "check_restored", "main"]
+__all__ = [
+    "RoundCheck",
+    "ValidationReport",
+    "check_incremental",
+    "check_restored",
+    "check_appends",
+    "main",
+]
 
 
 @dataclass
@@ -42,6 +58,7 @@ class RoundCheck:
     """The comparison outcome of one feedback round."""
 
     round: int
+    #: Annotations asserted (rows appended, for the append contract).
     annotations: int
     rows_incremental: int
     rows_full: int
@@ -51,6 +68,9 @@ class RoundCheck:
     #: Whether the patched metric statistics finalise to exactly the report
     #: a full recomputation over the current tables produces (both sessions).
     metrics_equal: bool = True
+    #: Whether both sessions' ``mapping_score`` facts equal a from-scratch
+    #: re-score (checked by the append contract).
+    scores_equal: bool = True
     #: Whether the incremental engine patched (False → it fell back).
     patched: bool = False
     fallback_reason: str = ""
@@ -66,6 +86,7 @@ class RoundCheck:
             and self.selection_equal
             and self.matches_equal
             and self.metrics_equal
+            and self.scores_equal
         )
 
 
@@ -158,6 +179,17 @@ def _compare_metrics(incremental_session, full_session) -> str:
     return _compare_reports(slow, full, "incremental vs full session")
 
 
+def _compare_scores(wrangler) -> str:
+    """Empty string when the session's ``mapping_score`` facts equal a
+    from-scratch re-score of every candidate (no per-leaf statistics)."""
+    facts = sorted(wrangler.kb.facts(Predicates.MAPPING_SCORE))
+    rescored = sorted(args for _predicate, args in score_candidates(wrangler.kb))
+    if facts == rescored:
+        return ""
+    differing = sorted(set(facts) ^ set(rescored))
+    return f"mapping_score facts differ from a from-scratch re-score: {differing[:4]}"
+
+
 def _compare_tables(left, right) -> str:
     """Empty string when equal, else a description of the first difference."""
     if left is None or right is None:
@@ -177,6 +209,54 @@ def _compare_tables(left, right) -> str:
         if a != b:
             return f"row {position} differs: {a!r} vs {b!r}"
     return ""
+
+
+def _round_check(
+    round_number: int,
+    changes: int,
+    left,
+    right,
+    outcome: dict[str, Any],
+    seconds: tuple[float, float],
+    *,
+    fingerprints: tuple[str, str] | None = None,
+    scores: bool = False,
+) -> RoundCheck:
+    """Compare two wranglers after one round.
+
+    ``left`` took the path under test and ``outcome`` is the incremental
+    engine's report on it; ``right`` took the reference path. ``seconds``
+    times the two paths in the same order.
+    """
+    left_table, right_table = left.result(), right.result()
+    mismatch = _compare_tables(left_table, right_table)
+    if not mismatch and fingerprints is not None and fingerprints[0] != fingerprints[1]:
+        mismatch = f"fingerprints differ: {fingerprints[0]} vs {fingerprints[1]}"
+    metrics_mismatch = _compare_metrics(left, right)
+    scores_mismatch = (_compare_scores(left) or _compare_scores(right)) if scores else ""
+    left_selected = left.selected_mapping()
+    right_selected = right.selected_mapping()
+    left_id = left_selected.mapping_id if left_selected else None
+    right_id = right_selected.mapping_id if right_selected else None
+    left_matches = sorted(left.kb.facts(Predicates.MATCH))
+    right_matches = sorted(right.kb.facts(Predicates.MATCH))
+    applied = bool(outcome.get("applied"))
+    return RoundCheck(
+        round=round_number,
+        annotations=changes,
+        rows_incremental=len(left_table) if left_table is not None else 0,
+        rows_full=len(right_table) if right_table is not None else 0,
+        tables_equal=not mismatch,
+        selection_equal=left_id == right_id,
+        matches_equal=left_matches == right_matches,
+        metrics_equal=not metrics_mismatch,
+        scores_equal=not scores_mismatch,
+        patched=applied,
+        fallback_reason="" if applied else str(outcome.get("reason", "")),
+        seconds_incremental=seconds[0],
+        seconds_full=seconds[1],
+        mismatch=mismatch or metrics_mismatch or scores_mismatch,
+    )
 
 
 def check_incremental(
@@ -233,32 +313,14 @@ def check_incremental(
         full_session.run("feedback", evaluate=False)
         full_elapsed = time.perf_counter() - started
 
-        left = incremental_session.result()
-        right = full_session.result()
-        mismatch = _compare_tables(left, right)
-        metrics_mismatch = _compare_metrics(incremental_session, full_session)
-        left_selected = incremental_session.selected_mapping()
-        right_selected = full_session.selected_mapping()
-        left_id = left_selected.mapping_id if left_selected else None
-        right_id = right_selected.mapping_id if right_selected else None
-        left_matches = sorted(incremental_session.kb.facts(Predicates.MATCH))
-        right_matches = sorted(full_session.kb.facts(Predicates.MATCH))
-        outcome = incremental_result.details.get("incremental", {})
         report.rounds.append(
-            RoundCheck(
-                round=round_number,
-                annotations=len(annotations),
-                rows_incremental=len(left) if left is not None else 0,
-                rows_full=len(right) if right is not None else 0,
-                tables_equal=not mismatch,
-                selection_equal=left_id == right_id,
-                matches_equal=left_matches == right_matches,
-                metrics_equal=not metrics_mismatch,
-                patched=bool(outcome.get("applied")),
-                fallback_reason="" if outcome.get("applied") else str(outcome.get("reason", "")),
-                seconds_incremental=incremental_elapsed,
-                seconds_full=full_elapsed,
-                mismatch=mismatch or metrics_mismatch,
+            _round_check(
+                round_number,
+                len(annotations),
+                incremental_session,
+                full_session,
+                incremental_result.details.get("incremental", {}),
+                (incremental_elapsed, full_elapsed),
             )
         )
     return report
@@ -328,39 +390,93 @@ def check_restored(
             restored_metrics = survivor.feedback(request)
             restored_elapsed = time.perf_counter() - started
 
-            left = survivor.result()
-            right = live.result()
-            mismatch = _compare_tables(left, right)
-            if not mismatch and restored_metrics.fingerprint != live_metrics.fingerprint:
-                mismatch = (
-                    f"fingerprints differ: {restored_metrics.fingerprint} "
-                    f"vs {live_metrics.fingerprint}"
-                )
-            metrics_mismatch = _compare_metrics(survivor.wrangler, live.wrangler)
-            left_selected = survivor.wrangler.selected_mapping()
-            right_selected = live.wrangler.selected_mapping()
-            left_id = left_selected.mapping_id if left_selected else None
-            right_id = right_selected.mapping_id if right_selected else None
-            left_matches = sorted(survivor.wrangler.kb.facts(Predicates.MATCH))
-            right_matches = sorted(live.wrangler.kb.facts(Predicates.MATCH))
-            outcome = restored_metrics.incremental or {}
             report.rounds.append(
-                RoundCheck(
-                    round=round_number,
-                    annotations=len(annotations),
-                    rows_incremental=len(left) if left is not None else 0,
-                    rows_full=len(right) if right is not None else 0,
-                    tables_equal=not mismatch,
-                    selection_equal=left_id == right_id,
-                    matches_equal=left_matches == right_matches,
-                    metrics_equal=not metrics_mismatch,
-                    patched=bool(outcome.get("applied")),
-                    fallback_reason="" if outcome.get("applied") else str(outcome.get("reason", "")),
-                    seconds_incremental=restored_elapsed,
-                    seconds_full=live_elapsed,
-                    mismatch=mismatch or metrics_mismatch,
+                _round_check(
+                    round_number,
+                    len(annotations),
+                    survivor.wrangler,
+                    live.wrangler,
+                    restored_metrics.incremental or {},
+                    (restored_elapsed, live_elapsed),
+                    fingerprints=(restored_metrics.fingerprint, live_metrics.fingerprint),
                 )
             )
+    return report
+
+
+def check_appends(
+    scenario: Scenario | SynthConfig | None = None,
+    *,
+    rounds: int = 3,
+    rows: int = 10,
+    wrangler_config: WranglerConfig | None = None,
+) -> ValidationReport:
+    """Appended source rows: the incremental patch must equal a full re-run.
+
+    The last ``rounds * rows`` rows of every source (at most half of it)
+    are held back, and both sessions are prepared without them. Each round
+    then appends the next ``rows`` held-back rows of every source, one
+    append per source, with ``incremental=True`` on one session and
+    ``incremental=False`` on the other. After each round both sessions must
+    hold row-for-row equal results, the same selected mapping, the same
+    match facts and exactly equal metrics, and each session's
+    ``mapping_score`` facts must equal a from-scratch re-score: candidate
+    scoring patches its per-leaf statistics on these appends.
+    """
+    if scenario is None:
+        scenario = SynthConfig()
+    if isinstance(scenario, SynthConfig):
+        scenario = generate_synthetic(scenario)
+    config = wrangler_config or WranglerConfig()
+    held: dict[str, list[tuple]] = {}
+    shortened = []
+    for table in scenario.sources:
+        kept = table.tuples()
+        count = min(rounds * rows, len(kept) // 2)
+        held[table.name] = kept[len(kept) - count :]
+        shortened.append(table.replace_rows(kept[: len(kept) - count]))
+    scenario = dataclasses.replace(scenario, sources=shortened)
+
+    incremental_session = _prepare(scenario, config)
+    full_session = _prepare(scenario, config)
+    report = ValidationReport(scenario=f"{scenario.name}(append)")
+
+    for round_number in range(1, rounds + 1):
+        start = (round_number - 1) * rows
+        blocks = {
+            relation: tail[start : start + rows]
+            for relation, tail in sorted(held.items())
+            if len(tail) > start
+        }
+        if not blocks:
+            break
+        reasons = []
+        started = time.perf_counter()
+        for relation, block in blocks.items():
+            result = incremental_session._append_source_rows(
+                relation, block, incremental=True, evaluate=False
+            )
+            outcome = result.details.get("incremental", {})
+            if not outcome.get("applied"):
+                reasons.append(f"{relation}: {outcome.get('reason', '')}")
+        incremental_elapsed = time.perf_counter() - started
+
+        started = time.perf_counter()
+        for relation, block in blocks.items():
+            full_session._append_source_rows(relation, block, incremental=False, evaluate=False)
+        full_elapsed = time.perf_counter() - started
+
+        report.rounds.append(
+            _round_check(
+                round_number,
+                sum(len(block) for block in blocks.values()),
+                incremental_session,
+                full_session,
+                {"applied": not reasons, "reason": "; ".join(reasons)},
+                (incremental_elapsed, full_elapsed),
+                scores=True,
+            )
+        )
     return report
 
 
@@ -375,7 +491,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--sources", type=int, default=2, help="source tables")
     parser.add_argument("--seed", type=int, default=0, help="scenario seed")
     parser.add_argument("--rounds", type=int, default=3, help="feedback rounds")
-    parser.add_argument("--budget", type=int, default=10, help="annotations per round")
+    parser.add_argument(
+        "--budget",
+        type=int,
+        default=10,
+        help="annotations per round (append contract: rows per source per round)",
+    )
     parser.add_argument(
         "--check",
         action="store_true",
@@ -383,30 +504,32 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     parser.add_argument(
         "--contract",
-        choices=("incremental", "restore"),
+        choices=("incremental", "restore", "append"),
         default="incremental",
         help="which equality contract to check: incremental-vs-full rounds "
-        "(default) or checkpoint/restore-vs-uninterrupted sessions",
+        "(default), checkpoint/restore-vs-uninterrupted sessions, or "
+        "incremental-vs-full source-row appends",
     )
     args = parser.parse_args(argv)
 
-    checker = check_incremental if args.contract == "incremental" else check_restored
-    report = checker(
-        SynthConfig(
-            family=args.family,
-            entities=args.entities,
-            sources=args.sources,
-            seed=args.seed,
-        ),
-        rounds=args.rounds,
-        budget=args.budget,
+    config = SynthConfig(
+        family=args.family,
+        entities=args.entities,
+        sources=args.sources,
         seed=args.seed,
     )
+    if args.contract == "append":
+        report = check_appends(config, rounds=args.rounds, rows=args.budget)
+        changes = "rows appended"
+    else:
+        checker = check_incremental if args.contract == "incremental" else check_restored
+        report = checker(config, rounds=args.rounds, budget=args.budget, seed=args.seed)
+        changes = "annotations"
     for check in report.rounds:
         status = "ok " if check.ok else "FAIL"
         mode = "patched" if check.patched else f"fallback ({check.fallback_reason})"
         print(
-            f"{status} round {check.round}: {check.annotations} annotations, "
+            f"{status} round {check.round}: {check.annotations} {changes}, "
             f"rows {check.rows_incremental}/{check.rows_full}, {mode}, "
             f"incremental {check.seconds_incremental:.3f}s vs full {check.seconds_full:.3f}s"
         )

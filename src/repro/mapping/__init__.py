@@ -4,6 +4,7 @@ from repro.mapping.execution import MappingExecutor
 from repro.mapping.generation import MappingGenerator, MappingGeneratorConfig
 from repro.mapping.model import AttributeAssignment, JoinCondition, SchemaMapping
 from repro.mapping.selection import (
+    LeafStatsCache,
     MappingScore,
     MappingScorer,
     MappingSelector,
@@ -27,6 +28,7 @@ __all__ = [
     "MappingGenerator",
     "MappingGeneratorConfig",
     "MappingExecutor",
+    "LeafStatsCache",
     "MappingScore",
     "MappingScorer",
     "MappingSelector",

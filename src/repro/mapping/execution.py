@@ -61,7 +61,7 @@ class MappingExecutor:
         coerced_rows = []
         for row, refs, leaf in self._rows_for(mapping, target_schema):
             coerced_rows.append(self._emit(name, row, refs, leaf, mapping, target_schema, store))
-        output_schema = self._output_schema(target_schema, name)
+        output_schema = self.output_schema(target_schema, name)
         return Table(output_schema, coerced_rows, coerce=False)
 
     def execute_rows(
@@ -109,6 +109,26 @@ class MappingExecutor:
                 produced.append((str(row[-1]), emitted))
         return produced
 
+    def output_schema(self, target_schema: Schema, name: str) -> Schema:
+        """The schema of a materialised result: the target schema plus the
+        two provenance columns, named ``name``."""
+        attributes = list(target_schema.attributes)
+        attributes.append(
+            Attribute(
+                PROVENANCE_SOURCE,
+                DataType.STRING,
+                description="provenance: contributing source relation",
+            )
+        )
+        attributes.append(
+            Attribute(
+                PROVENANCE_ROW_ID,
+                DataType.STRING,
+                description="provenance: source row identifier",
+            )
+        )
+        return Schema(name, attributes)
+
     # -- internals -----------------------------------------------------------
 
     def _emit(self, name, row, refs, leaf, mapping, target_schema, store) -> tuple:
@@ -135,24 +155,6 @@ class MappingExecutor:
                 leaves.extend(self._leaves(child))
             return leaves
         return [mapping]
-
-    def _output_schema(self, target_schema: Schema, name: str) -> Schema:
-        attributes = list(target_schema.attributes)
-        attributes.append(
-            Attribute(
-                PROVENANCE_SOURCE,
-                DataType.STRING,
-                description="provenance: contributing source relation",
-            )
-        )
-        attributes.append(
-            Attribute(
-                PROVENANCE_ROW_ID,
-                DataType.STRING,
-                description="provenance: source row identifier",
-            )
-        )
-        return Schema(name, attributes)
 
     def _cell_sources(self, leaf: SchemaMapping) -> dict[str, str]:
         """``target attribute -> source relation`` for one leaf mapping.

@@ -12,22 +12,38 @@ Scoring additionally applies a cross-candidate *coverage prior* (how much of
 the target schema, and how many rows relative to the best candidate, a
 mapping produces) and decrements the confidence of mappings implicated by
 lineage-targeted feedback (see :mod:`repro.provenance.feedback`).
+
+Re-scoring in the pay-as-you-go loop keeps the quality statistics of each
+leaf (direct or join) mapping in a :class:`LeafStatsCache`, so a re-score
+executes only the leaves, or the appended rows, whose sources changed.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro.mapping.execution import MappingExecutor
 from repro.mapping.model import SchemaMapping
 from repro.quality.cfd_learning import LearnedCFDs
 from repro.quality.metrics import evaluate_quality
+from repro.quality.stats import QualityStats, build_stats
 from repro.relational.catalog import Catalog
 from repro.relational.schema import Schema
 from repro.relational.table import Table
 
-__all__ = ["MappingScore", "MappingScorer", "SelectionOutcome", "MappingSelector"]
+__all__ = [
+    "MappingScore",
+    "MappingScorer",
+    "LeafStats",
+    "LeafStatsCache",
+    "SelectionOutcome",
+    "MappingSelector",
+]
+
+#: A penalty-free base score: criterion scores and the candidate's row count.
+BaseScore = tuple[dict[str, float], int]
 
 
 @dataclass
@@ -55,6 +71,46 @@ class MappingScore:
         )
 
 
+@dataclass
+class LeafStats:
+    """One leaf mapping's quality statistics and the sources they reflect."""
+
+    #: The source tables, in ``leaf.sources`` order, the statistics were
+    #: accumulated from.
+    tables: tuple[Table, ...]
+    stats: QualityStats
+    #: Unique within the owning cache; a new one whenever ``stats`` changes.
+    version: int
+
+
+@dataclass
+class LeafStatsCache:
+    """Per-leaf quality statistics of one target relation's candidates.
+
+    A direct or join candidate's base score finalises its leaf's
+    statistics; a union is bag concatenation, so its base score finalises
+    the merge of its leaves'. The counters are integers, so every base score
+    is bit-identical to :meth:`MappingScorer.base_score`. The cache is valid
+    for one scoring context (data context, learned CFDs, completeness
+    weights); its owner drops it when that context changes.
+    """
+
+    #: Leaf ``structure_signature()`` → its statistics.
+    leaves: dict[tuple, LeafStats] = field(default_factory=dict)
+    #: A candidate's leaf versions → its finalised base score.
+    bases: dict[tuple[int, ...], BaseScore] = field(default_factory=dict)
+    #: The context indexes every leaf's accumulators share (adopted from
+    #: the first leaf built).
+    reference_index: dict | None = None
+    master_keys: frozenset | None = None
+    last_version: int = 0
+
+    def next_version(self) -> int:
+        """A version number no entry of this cache has had."""
+        self.last_version += 1
+        return self.last_version
+
+
 class MappingScorer:
     """Materialises candidate mappings and scores them on the quality criteria."""
 
@@ -72,11 +128,12 @@ class MappingScorer:
         mapping_penalties: Mapping[str, Mapping[str, float]] | None = None,
         completeness_weights: Mapping[str, float] | None = None,
         coverage_prior: bool = True,
-        base_table_provider: Callable[[SchemaMapping], Table | None] | None = None,
     ):
+        self._catalog = catalog
         self._executor = MappingExecutor(catalog)
-        self._base_table_provider = base_table_provider
         self._target_schema = target_schema
+        #: The layout of every executed candidate (target plus provenance).
+        self._output_schema = self._executor.output_schema(target_schema, "__candidate")
         self._reference = reference
         self._reference_key = list(reference_key)
         self._master = master
@@ -87,31 +144,17 @@ class MappingScorer:
         self._completeness_weights = dict(completeness_weights or {})
         self._coverage_prior = coverage_prior
 
-    def base_score(self, mapping: SchemaMapping) -> tuple[dict[str, float], int]:
+    def base_score(self, mapping: SchemaMapping) -> BaseScore:
         """Penalty-free criterion scores of one candidate (and its row count).
 
-        This is the expensive part of scoring — the candidate is materialised
-        and evaluated against the data context — and it depends only on the
-        mapping's structure, the source tables, the data context and the
-        learned CFDs. Feedback does not enter here, which is what makes the
-        result cacheable across feedback-driven re-scores (see ``base_cache``
-        in :meth:`score_all`).
-
-        A ``base_table_provider`` (when configured) can serve the mapping's
-        freshly-materialised rows from an existing snapshot — the
-        incremental engine's pipeline state does this for the selected
-        mapping, so a data-context or CFD refresh re-evaluates the winner
-        without re-executing its joins. The provider must return exactly
-        what :meth:`MappingExecutor.execute` would; None falls back to a
-        real execution.
+        The reference evaluator: the candidate is materialised in full and
+        evaluated against the data context from scratch. Feedback does not
+        enter here. :meth:`score_all` with a :class:`LeafStatsCache` derives
+        the same values from per-leaf statistics.
         """
-        table = None
-        if self._base_table_provider is not None:
-            table = self._base_table_provider(mapping)
-        if table is None:
-            table = self._executor.execute(
-                mapping, self._target_schema, result_name=f"__candidate_{mapping.mapping_id}"
-            )
+        table = self._executor.execute(
+            mapping, self._target_schema, result_name=f"__candidate_{mapping.mapping_id}"
+        )
         cfds = self._learned_cfds.cfds if self._learned_cfds else []
         witnesses = self._learned_cfds.witnesses if self._learned_cfds else {}
         report = evaluate_quality(
@@ -126,9 +169,7 @@ class MappingScorer:
         )
         return report.as_dict(), len(table)
 
-    def score(
-        self, mapping: SchemaMapping, base: tuple[dict[str, float], int] | None = None
-    ) -> MappingScore:
+    def score(self, mapping: SchemaMapping, base: BaseScore | None = None) -> MappingScore:
         """Score one candidate mapping (``base`` reuses a cached base score)."""
         if base is None:
             base = self.base_score(mapping)
@@ -147,7 +188,7 @@ class MappingScorer:
         self,
         mappings: Sequence[SchemaMapping],
         *,
-        base_cache: dict[str, tuple[dict[str, float], int]] | None = None,
+        cache: LeafStatsCache | None = None,
     ) -> dict[str, MappingScore]:
         """Score every candidate, adding the cross-candidate coverage prior.
 
@@ -159,21 +200,23 @@ class MappingScorer:
         completeness alone — the paper's pay-as-you-go story needs the
         *broad* result first, refined once data context and feedback arrive.
 
-        ``base_cache`` maps mapping ids to previously computed
-        :meth:`base_score` results; cached candidates skip materialisation
-        entirely (the caller is responsible for invalidating the cache when
-        sources, data context or CFDs change — see
-        :class:`~repro.mapping.transducers.MappingQualityTransducer`). The
-        cache is updated in place with any base scores computed here.
+        Without a ``cache`` every candidate is scored from scratch
+        (:meth:`base_score`). With one, base scores come from the cached
+        per-leaf statistics: a leaf whose sources are unchanged is reused,
+        one whose driving source gained rows executes only those rows, and
+        any other leaf re-executes in full. Leaves and base scores no
+        candidate uses any more are evicted. The caller drops the cache
+        when the data context, CFDs or weights change (see
+        :class:`~repro.mapping.transducers.MappingQualityTransducer`).
         """
-        scores: dict[str, MappingScore] = {}
-        for mapping in mappings:
-            base = base_cache.get(mapping.mapping_id) if base_cache is not None else None
-            if base is None:
-                base = self.base_score(mapping)
-                if base_cache is not None:
-                    base_cache[mapping.mapping_id] = base
-            scores[mapping.mapping_id] = self.score(mapping, base)
+        if cache is None:
+            bases = {mapping.mapping_id: self.base_score(mapping) for mapping in mappings}
+        else:
+            bases = self._cached_bases(mappings, cache)
+        scores = {
+            mapping.mapping_id: self.score(mapping, bases[mapping.mapping_id])
+            for mapping in mappings
+        }
         if not self._coverage_prior or not scores:
             return scores
         target_attributes = [
@@ -191,6 +234,93 @@ class MappingScorer:
             row_share = (score.row_count / max_rows) if max_rows > 0 else 0.0
             score.criteria["coverage"] = round((attribute_share + row_share) / 2, 6)
         return scores
+
+    # -- per-leaf statistics ----------------------------------------------------
+
+    def _cached_bases(
+        self, mappings: Sequence[SchemaMapping], cache: LeafStatsCache
+    ) -> dict[str, BaseScore]:
+        """Base scores from the cache's leaf statistics, brought up to date."""
+        leaves: dict[tuple, LeafStats] = {}
+        bases: dict[tuple[int, ...], BaseScore] = {}
+        by_id: dict[str, BaseScore] = {}
+        for mapping in mappings:
+            parts = []
+            for leaf in mapping.leaf_mappings():
+                signature = leaf.structure_signature()
+                if signature not in leaves:
+                    leaves[signature] = self._leaf_stats(leaf, cache.leaves.get(signature), cache)
+                parts.append(leaves[signature])
+            versions = tuple(part.version for part in parts)
+            base = bases.get(versions) or cache.bases.get(versions)
+            if base is None:
+                base = self._finalise([part.stats for part in parts], cache)
+            bases[versions] = by_id[mapping.mapping_id] = base
+        cache.leaves = leaves
+        cache.bases = bases
+        return by_id
+
+    def _leaf_stats(
+        self, leaf: SchemaMapping, entry: LeafStats | None, cache: LeafStatsCache
+    ) -> LeafStats:
+        """``entry`` brought up to date with the leaf's current source tables.
+
+        Unchanged sources reuse the entry. A driving source that was only
+        extended (:meth:`Table.extends`) under unchanged lookup sources adds
+        the new rows' contributions. Anything else — a changed lookup, a
+        removal, a replaced table — rebuilds the leaf from a full execution.
+        """
+        tables = tuple(self._catalog.get(name) for name in leaf.sources)
+        result_name = f"__candidate_{leaf.mapping_id}"
+        if entry is not None and all(map(operator.is_, tables[1:], entry.tables[1:])):
+            driving, before = tables[0], entry.tables[0]
+            if driving is before:
+                return entry
+            if driving.extends(before):
+                produced = self._executor.execute_rows(
+                    leaf,
+                    self._target_schema,
+                    driving={leaf.sources[0]: range(len(before), len(driving))},
+                    result_name=result_name,
+                )
+                for _key, row in produced:
+                    entry.stats.add_row(row)
+                entry.tables = tables
+                entry.version = cache.next_version()
+                return entry
+        table = self._executor.execute(leaf, self._target_schema, result_name=result_name)
+        stats = build_stats(table, **self._stats_context(cache))
+        if stats.accuracy is not None:
+            cache.reference_index = stats.accuracy.reference_index
+        if stats.relevance is not None:
+            cache.master_keys = stats.relevance.master_keys
+        return LeafStats(tables=tables, stats=stats, version=cache.next_version())
+
+    def _finalise(self, parts: list[QualityStats], cache: LeafStatsCache) -> BaseScore:
+        """The base score of the concatenation of ``parts``' rows."""
+        if len(parts) == 1:
+            stats = parts[0]
+        else:
+            stats = QualityStats.for_schema(self._output_schema, **self._stats_context(cache))
+            for part in parts:
+                stats.merge(part)
+        return stats.finalise().as_dict(), stats.row_count
+
+    def _stats_context(self, cache: LeafStatsCache) -> dict:
+        """:func:`build_stats` arguments of this scorer's evaluation context,
+        sharing the cache's context indexes."""
+        cfds = self._learned_cfds.cfds if self._learned_cfds else []
+        return {
+            "reference": self._reference,
+            "reference_key": self._reference_key,
+            "cfds": [cfd for cfd in cfds if cfd.rhs in self._output_schema],
+            "witnesses": self._learned_cfds.witnesses if self._learned_cfds else {},
+            "master": self._master,
+            "master_key": self._master_key,
+            "completeness_weights": self._completeness_weights or None,
+            "reference_index": cache.reference_index,
+            "master_keys": cache.master_keys,
+        }
 
     def _apply_feedback_penalty(
         self, mapping: SchemaMapping, accuracy: float, row_count: int
@@ -291,3 +421,4 @@ class MappingSelector:
 
         ranking = sorted(weighted, key=sort_key)
         return SelectionOutcome(ranking=ranking, scores=dict(scores), weights=dict(weights or {}))
+

@@ -19,16 +19,15 @@ from repro.core.facts import (
 )
 from repro.core.knowledge_base import KnowledgeBase
 from repro.core.transducer import Activity, Transducer, TransducerResult
-from repro.incremental.state import incremental_state, mapping_source_volumes
+from repro.incremental.state import incremental_state
 from repro.matching.correspondence import MatchSet
 from repro.mapping.execution import MappingExecutor
 from repro.mapping.generation import MappingGenerator, MappingGeneratorConfig
 from repro.mapping.model import SchemaMapping
-from repro.mapping.selection import MappingScorer, MappingSelector
+from repro.mapping.selection import LeafStatsCache, MappingScorer, MappingSelector
 from repro.provenance.feedback import LINEAGE_PENALTIES_ARTIFACT_KEY
 from repro.provenance.model import provenance_store
 from repro.quality.transducers import CFD_ARTIFACT_KEY
-from repro.relational.table import Table
 
 __all__ = [
     "MAPPINGS_ARTIFACT_KEY",
@@ -39,6 +38,7 @@ __all__ = [
     "MappingSelectionTransducer",
     "ResultMaterialisationTransducer",
     "result_relation_name",
+    "score_candidates",
     "selected_mapping",
 ]
 
@@ -46,10 +46,12 @@ __all__ = [
 MAPPINGS_ARTIFACT_KEY = "candidate_mappings"
 #: Artifact key for feedback-derived error rates per (source, target attribute).
 FEEDBACK_PENALTIES_ARTIFACT_KEY = "feedback_penalties"
-#: Artifact key for the cached penalty-free base scores of candidate mappings
-#: ({"context_key": ..., "bases": {target_relation: {mapping_id: base}}}).
-#: Feedback-driven re-scores reuse these instead of re-materialising every
-#: candidate; the entry is dropped whenever the scoring context changes.
+#: Artifact key for the per-leaf quality statistics candidate scoring keeps
+#: between runs ({"context_key": ..., "caches": {target_relation:
+#: LeafStatsCache}}). A re-score executes only the leaves whose sources
+#: changed, and an append to a leaf's driving source only the new rows;
+#: feedback-only re-scores execute nothing. The entry is dropped whenever
+#: the scoring context changes.
 BASE_SCORES_ARTIFACT_KEY = "mapping_base_scores"
 
 
@@ -131,66 +133,56 @@ class MappingQualityTransducer(Transducer):
     watch_predicates = ("cfd", "data_context", "feedback", "criterion_weight", "dataset")
 
     def run(self, kb: KnowledgeBase) -> TransducerResult:
-        candidates: dict[str, SchemaMapping] = kb.get_artifact(MAPPINGS_ARTIFACT_KEY, {})
-        if not candidates:
+        if not kb.get_artifact(MAPPINGS_ARTIFACT_KEY, {}):
             return TransducerResult(notes="no candidate mappings to score")
-        added = 0
-        scored = 0
-        base_cache = self._base_cache(kb)
+        facts = score_candidates(kb, self._base_cache(kb))
         kb.retract_where(Predicates.MAPPING_SCORE)
-        for target_relation in kb.target_relations():
-            target_schema = kb.schema_of(target_relation)
-            scorer = self._build_scorer(kb, target_relation, target_schema)
-            relevant = [m for m in candidates.values() if m.target_relation == target_relation]
-            relation_cache = base_cache["bases"].setdefault(target_relation, {})
-            for mapping_id, score in scorer.score_all(
-                relevant, base_cache=relation_cache
-            ).items():
-                scored += 1
-                for criterion, value in score.criteria.items():
-                    added += int(kb.assert_tuple(mapping_score_fact(mapping_id, criterion, value)))
-                added += int(
-                    kb.assert_tuple(
-                        mapping_score_fact(mapping_id, "match_confidence", score.match_confidence)
-                    )
-                )
+        added = sum(int(kb.assert_tuple(fact)) for fact in facts)
+        scored = len({args[0] for _predicate, args in facts})
         return TransducerResult(
             facts_added=added,
             notes=f"scored {scored} candidate mappings",
         )
 
-    def _base_cache(self, kb: KnowledgeBase) -> dict:
-        """The session's base-score cache, invalidated on context changes.
+    def _base_cache(self, kb: KnowledgeBase) -> dict[str, LeafStatsCache]:
+        """The session's per-leaf statistics, one cache per target relation.
 
-        Base scores depend on the source tables, the data context, the
+        Leaf statistics depend on the source tables, the data context, the
         learned CFDs and the completeness weights — but *not* on feedback.
-        The context key tracks the revisions of exactly those inputs (source
-        volumes stand in for source contents: sources are logically
-        immutable apart from explicit row additions/removals, which change
-        their row counts), so feedback-only re-scores hit the cache while
-        any context change rebuilds it.
+        :meth:`MappingScorer.score_all` follows source changes leaf by leaf
+        (it compares the source tables each leaf was computed from); the
+        context key tracks the revisions of the other inputs, and any
+        change there drops every leaf.
         """
-        sources = tuple(
-            sorted(row for row in kb.facts(Predicates.DATASET) if row[1] == Predicates.ROLE_SOURCE)
-        )
         context_key = (
             kb.predicate_revision(Predicates.CFD),
             kb.predicate_revision(Predicates.DATA_CONTEXT),
             kb.predicate_revision(Predicates.CRITERION_WEIGHT),
-            sources,
         )
         cache = kb.get_artifact(BASE_SCORES_ARTIFACT_KEY)
         if cache is None or cache.get("context_key") != context_key:
-            cache = {"context_key": context_key, "bases": {}}
+            cache = {"context_key": context_key, "caches": {}}
             kb.store_artifact(BASE_SCORES_ARTIFACT_KEY, cache)
-        return cache
+        return cache["caches"]
 
-    def _build_scorer(
-        self, kb: KnowledgeBase, target_relation: str, target_schema
-    ) -> MappingScorer:
+
+def score_candidates(
+    kb: KnowledgeBase, caches: dict[str, LeafStatsCache] | None = None
+) -> list[tuple[str, tuple]]:
+    """The ``mapping_score`` facts of every candidate mapping.
+
+    With ``caches`` (target relation → :class:`LeafStatsCache`) scoring
+    reuses and updates the per-leaf statistics. Without, every candidate is
+    scored from scratch (:meth:`MappingScorer.base_score`): the reference
+    the cached facts must equal.
+    """
+    candidates: dict[str, SchemaMapping] = kb.get_artifact(MAPPINGS_ARTIFACT_KEY, {})
+    facts = []
+    for target_relation in kb.target_relations():
+        target_schema = kb.schema_of(target_relation)
         reference, reference_key = _context_table(kb, Predicates.CONTEXT_REFERENCE, target_relation)
         master, master_key = _context_table(kb, Predicates.CONTEXT_MASTER, target_relation)
-        return MappingScorer(
+        scorer = MappingScorer(
             kb.catalog,
             target_schema,
             reference=reference,
@@ -201,48 +193,14 @@ class MappingQualityTransducer(Transducer):
             feedback_penalties=kb.get_artifact(FEEDBACK_PENALTIES_ARTIFACT_KEY, {}),
             mapping_penalties=kb.get_artifact(LINEAGE_PENALTIES_ARTIFACT_KEY, {}),
             completeness_weights=_completeness_weights(kb),
-            base_table_provider=_snapshot_base_table_provider(kb),
         )
-
-
-def _snapshot_base_table_provider(kb: KnowledgeBase):
-    """Serve the selected mapping's materialised rows from the pipeline snapshot.
-
-    The incremental state's ``base`` rows are exactly what a fresh
-    :meth:`MappingExecutor.execute` of the snapshot's mapping would produce
-    — *while* the sources still have the row counts they had at
-    materialisation time and the candidate's structure (score-free
-    signature) is unchanged. Inside that window, a base-score refresh (a new
-    data context, refreshed CFDs) re-evaluates the winner from the snapshot
-    instead of re-running its joins; everything outside the window falls
-    back to a real execution. Returns None when the session does not track
-    incremental state.
-    """
-    state = incremental_state(kb, create=False)
-    if state is None or not state.enabled:
-        return None
-
-    def provider(mapping) -> Table | None:
-        rel_state = state.get(result_relation_name(mapping.target_relation))
-        if rel_state is None or not rel_state.ready:
-            return None
-        if rel_state.mapping_id != mapping.mapping_id or rel_state.mapping is None:
-            return None
-        if not rel_state.source_volumes:
-            return None
-        if rel_state.source_volumes != mapping_source_volumes(kb.catalog, rel_state.mapping):
-            return None
-        if rel_state.mapping.structure_signature() != mapping.structure_signature():
-            return None
-        rows = []
-        for key in rel_state.order:
-            row = rel_state.base.get(key)
-            if row is None:
-                return None  # snapshot incomplete: execute for real
-            rows.append(row)
-        return Table(rel_state.schema, rows, coerce=False, validate=False)
-
-    return provider
+        relevant = [m for m in candidates.values() if m.target_relation == target_relation]
+        cache = None if caches is None else caches.setdefault(target_relation, LeafStatsCache())
+        for mapping_id, score in scorer.score_all(relevant, cache=cache).items():
+            for criterion, value in score.criteria.items():
+                facts.append(mapping_score_fact(mapping_id, criterion, value))
+            facts.append(mapping_score_fact(mapping_id, "match_confidence", score.match_confidence))
+    return facts
 
 
 class SourceSelectionTransducer(Transducer):
@@ -359,9 +317,7 @@ class ResultMaterialisationTransducer(Transducer):
             kb.catalog.register(table, replace=True)
         state = incremental_state(kb, create=False)
         if state is not None:
-            state.observe_materialised(
-                table, mapping, provenance_store(kb, create=False), catalog=kb.catalog
-            )
+            state.observe_materialised(table, mapping, provenance_store(kb, create=False))
         # Refresh the result fact (retract results for this target first).
         for row in list(kb.facts(Predicates.RESULT)):
             if row[0] == result_name:

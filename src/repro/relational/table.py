@@ -263,6 +263,16 @@ class Table:
         merged._rows = list(self._rows) + list(table._rows)
         return merged
 
+    def extends(self, other: "Table") -> bool:
+        """Whether this table is ``other`` with rows appended.
+
+        :meth:`extend` keeps the earlier row tuples, so this is a pointer
+        compare of ``other``'s rows against this table's prefix.
+        """
+        if self._schema != other._schema or len(self._rows) < len(other._rows):
+            return False
+        return all(mine is theirs for mine, theirs in zip(self._rows, other._rows))
+
     def replace_rows(self, rows: Iterable[Sequence[Any]]) -> "Table":
         """Return a table with the same schema but entirely new rows."""
         return Table(self._schema, rows)

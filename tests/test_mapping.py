@@ -8,6 +8,7 @@ from repro.core import KnowledgeBase, Predicates
 from repro.mapping import (
     AttributeAssignment,
     JoinCondition,
+    LeafStatsCache,
     MappingExecutor,
     MappingGenerationTransducer,
     MappingGenerator,
@@ -343,3 +344,126 @@ class TestMappingTransducers:
         kb = KnowledgeBase()
         result = MappingSelectionTransducer().run(kb)
         assert result.facts_added == 0
+
+
+class TestLeafStatsCache:
+    """Candidate scoring from per-leaf statistics equals the from-scratch
+    reference evaluator and executes only what changed."""
+
+    REFERENCE = Table(TARGET.rename("truth"), [
+        ("Oak Street", "M1 1AA", 100000.0, 10),
+        ("Elm Road", "M5 3CC", 999999.0, 25),
+        ("Birch Close", "M4 4DD", 300000.0, 5),
+    ])
+
+    @staticmethod
+    def direct_onthemarket() -> SchemaMapping:
+        return SchemaMapping(
+            mapping_id="m_direct_onthemarket",
+            target_relation="property",
+            kind="direct",
+            sources=("onthemarket",),
+            assignments=(
+                AttributeAssignment("street", "onthemarket", "address_street", 0.8),
+                AttributeAssignment("postcode", "onthemarket", "post_code", 0.85),
+                AttributeAssignment("price", "onthemarket", "asking_price", 0.9),
+            ),
+        )
+
+    def candidates(self) -> list[SchemaMapping]:
+        direct, other = direct_rightmove(), self.direct_onthemarket()
+        join = join_rightmove_deprivation()
+        return [
+            direct,
+            other,
+            join,
+            SchemaMapping("m_union_direct", "property", "union", children=(direct, other)),
+            SchemaMapping("m_union_join", "property", "union", children=(other, join)),
+        ]
+
+    def scorer(self, catalog: Catalog) -> MappingScorer:
+        return MappingScorer(
+            catalog, TARGET,
+            reference=self.REFERENCE, reference_key=["postcode"],
+            master=self.REFERENCE.rename("master"), master_key=["street", "postcode"],
+        )
+
+    @staticmethod
+    def executions(monkeypatch) -> list[tuple[str, int]]:
+        """(mapping id, rows produced) of every execution from now on."""
+        calls: list[tuple[str, int]] = []
+        execute, execute_rows = MappingExecutor.execute, MappingExecutor.execute_rows
+
+        def counted_execute(self, mapping, *args, **kwargs):
+            table = execute(self, mapping, *args, **kwargs)
+            calls.append((mapping.mapping_id, len(table)))
+            return table
+
+        def counted_execute_rows(self, mapping, *args, **kwargs):
+            rows = execute_rows(self, mapping, *args, **kwargs)
+            calls.append((mapping.mapping_id, len(rows)))
+            return rows
+
+        monkeypatch.setattr(MappingExecutor, "execute", counted_execute)
+        monkeypatch.setattr(MappingExecutor, "execute_rows", counted_execute_rows)
+        return calls
+
+    @staticmethod
+    def as_values(scores) -> dict:
+        return {
+            mapping_id: (score.criteria, score.row_count) for mapping_id, score in scores.items()
+        }
+
+    def test_cached_scores_equal_reference_evaluator(self):
+        catalog = make_catalog()
+        cache = LeafStatsCache()
+        revisions = [
+            lambda: None,
+            lambda: catalog.replace(catalog.get("rightmove").extend(
+                [("Oak Street", "M1 1AA", 100000.0), ("Ash Way", "M9 9ZZ", None)])),
+            # The new lookup row joins the driving row appended before it.
+            lambda: catalog.replace(catalog.get("deprivation").extend([("M9 9ZZ", 40)])),
+            lambda: catalog.replace(catalog.get("onthemarket").replace_rows(
+                catalog.get("onthemarket").tuples()[:1])),
+            lambda: catalog.replace(catalog.get("rightmove").extend([])),
+        ]
+        for revise in revisions:
+            revise()
+            cached = self.scorer(catalog).score_all(self.candidates(), cache=cache)
+            fresh = self.scorer(catalog).score_all(self.candidates())
+            assert self.as_values(cached) == self.as_values(fresh)
+
+    def test_union_leaves_execute_once_and_unchanged_sources_not_at_all(self, monkeypatch):
+        catalog = make_catalog()
+        cache = LeafStatsCache()
+        calls = self.executions(monkeypatch)
+        self.scorer(catalog).score_all(self.candidates(), cache=cache)
+        assert sorted(calls) == [
+            ("m_direct_onthemarket", 2), ("m_direct_rightmove", 3), ("m_join", 3),
+        ]
+        calls.clear()
+        self.scorer(catalog).score_all(self.candidates(), cache=cache)
+        assert calls == []
+
+    def test_driving_append_executes_only_the_new_rows(self, monkeypatch):
+        catalog = make_catalog()
+        cache = LeafStatsCache()
+        self.scorer(catalog).score_all(self.candidates(), cache=cache)
+        calls = self.executions(monkeypatch)
+        catalog.replace(catalog.get("rightmove").extend([("Ash Way", "M4 4DD", 1.0)]))
+        self.scorer(catalog).score_all(self.candidates(), cache=cache)
+        assert sorted(calls) == [("m_direct_rightmove", 1), ("m_join", 1)]
+        calls.clear()
+        # A lookup append rebuilds only the leaf that reads the lookup.
+        catalog.replace(catalog.get("deprivation").extend([("M9 9ZZ", 40)]))
+        self.scorer(catalog).score_all(self.candidates(), cache=cache)
+        assert calls == [("m_join", 4)]
+
+    def test_leaves_no_candidate_uses_are_evicted(self):
+        catalog = make_catalog()
+        cache = LeafStatsCache()
+        self.scorer(catalog).score_all(self.candidates(), cache=cache)
+        assert len(cache.leaves) == 3 and len(cache.bases) == 5
+        self.scorer(catalog).score_all([direct_rightmove()], cache=cache)
+        assert list(cache.leaves) == [direct_rightmove().structure_signature()]
+        assert len(cache.bases) == 1

@@ -141,6 +141,16 @@ class TestTable:
         grown = person_table.extend([("frank", 31, "Hull")])
         assert len(grown) == 5
 
+    def test_extends_holds_only_for_appends(self, person_table):
+        grown = person_table.extend([("frank", 31, "Hull")])
+        assert grown.extends(person_table)
+        assert grown.extend([]).extends(person_table)
+        assert person_table.extends(person_table)
+        assert not person_table.extends(grown)
+        # Equal rows are not enough: the prefix must be the same row tuples.
+        assert not person_table.replace_rows(person_table.tuples()).extends(person_table)
+        assert not grown.head(3).extend(grown.tuples()[3:]).extends(person_table)
+
     def test_map_column(self, person_table):
         upper = person_table.map_column("city", lambda c: c.upper() if c else c)
         assert upper[0]["city"] == "MANCHESTER"
