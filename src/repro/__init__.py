@@ -3,7 +3,7 @@
 The top-level package re-exports the high-level wrangling API; the
 subpackages contain the architecture's components:
 
-- :mod:`repro.relational` — relational substrate (tables, operators, catalog)
+- :mod:`repro.relational` — relational substrate (tables, CSV I/O, catalog)
 - :mod:`repro.datalog` — Vadalog-lite reasoner
 - :mod:`repro.core` — knowledge base, transducers, orchestration
 - :mod:`repro.extraction` — synthetic deep-web extraction (DIADEM substitute)

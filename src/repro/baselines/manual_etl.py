@@ -14,13 +14,14 @@ baseline against the pay-as-you-go wrangler.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from collections import defaultdict
+from dataclasses import dataclass
+from typing import Any, Mapping
 
-from repro.relational.operators import left_outer_join, rename_attributes, union_all
+from repro.relational.errors import TypeCoercionError
 from repro.relational.schema import Schema
 from repro.relational.table import Table
-from repro.relational.types import coerce_value, is_null
+from repro.relational.types import DataType, coerce_value, is_null
 
 __all__ = ["ManualEtlConfig", "ManualEtlPipeline", "default_real_estate_etl"]
 
@@ -72,83 +73,96 @@ class ManualEtlPipeline:
     ) -> Table:
         """Execute the pipeline over ``sources`` and produce the target table."""
         config = self._config
-        target_attributes = tuple(config.target_attributes) or target_schema.attribute_names
+        target_attributes = list(config.target_attributes or target_schema.attribute_names)
+        name = result_name or f"{target_schema.name}_etl"
+        schema = target_schema.project(target_attributes, name)
 
-        # Transform: rename each union source onto the target vocabulary.
-        renamed: list[Table] = []
+        # Transform and load stage 1: rename each union source onto the
+        # target vocabulary and take the bag union of the property feeds.
+        feed: list[tuple] = []
         for source_name in config.union_sources:
-            if source_name not in sources:
-                continue
-            source = sources[source_name]
-            mapping = dict(config.attribute_mappings.get(source_name, {}))
-            usable = {old: new for old, new in mapping.items() if old in source.schema}
-            aligned = rename_attributes(source, usable)
-            renamed.append(_project_onto(aligned, target_schema, target_attributes))
-        if not renamed:
-            return Table.empty(target_schema.rename(result_name or f"{target_schema.name}_etl"))
-
-        # Load stage 1: union the property feeds.
-        feed = renamed[0]
-        for other in renamed[1:]:
-            feed = union_all(feed, other)
+            if source_name in sources:
+                mapping = config.attribute_mappings.get(source_name, {})
+                source, _ = _renamed(sources[source_name], mapping)
+                feed.extend(_project_onto(source, schema))
 
         # Load stage 2: enrich by joining the open-government relations.
         for enrichment_name, feed_key, enrichment_key in config.enrichment_joins:
-            if enrichment_name not in sources:
+            if enrichment_name not in sources or feed_key not in schema:
                 continue
-            enrichment = sources[enrichment_name]
-            mapping = dict(config.attribute_mappings.get(enrichment_name, {}))
-            usable = {old: new for old, new in mapping.items() if old in enrichment.schema}
-            enrichment = rename_attributes(enrichment, usable)
-            mapped_key = usable.get(enrichment_key, enrichment_key)
-            if feed_key not in feed.schema or mapped_key not in enrichment.schema:
-                continue
-            joined = left_outer_join(feed, enrichment, [(feed_key, mapped_key)])
-            feed = _merge_joined(joined, feed, target_schema, target_attributes)
+            mapping = config.attribute_mappings.get(enrichment_name, {})
+            enrichment, renaming = _renamed(sources[enrichment_name], mapping)
+            enrichment_key = renaming.get(enrichment_key, enrichment_key)
+            if enrichment_key in enrichment.schema:
+                feed = _enrich(feed, schema, feed_key, enrichment, enrichment_key)
 
-        final = _project_onto(feed, target_schema, target_attributes)
-        return final.rename(result_name or f"{target_schema.name}_etl")
+        return Table(schema, feed, coerce=False)
 
 
-def _project_onto(table: Table, target_schema: Schema, target_attributes: Sequence[str]) -> Table:
-    """Project ``table`` onto the target attributes, padding missing ones with NULL."""
-    rows = []
-    for row in table.rows():
-        values = []
-        for attribute in target_attributes:
-            value = row.get(attribute)
-            if is_null(value):
-                values.append(None)
-            else:
-                try:
-                    values.append(coerce_value(value, target_schema.dtype(attribute)))
-                except Exception:
-                    values.append(None)
-        rows.append(tuple(values))
-    schema = target_schema.project(list(target_attributes), target_schema.name)
-    return Table(schema, rows, coerce=False)
+def _renamed(table: Table, mapping: Mapping[str, str]) -> tuple[Table, dict[str, str]]:
+    """``table`` with the attributes that ``mapping`` names renamed, and that renaming."""
+    usable = {old: new for old, new in mapping.items() if old in table.schema}
+    return Table(table.schema.rename_attributes(usable), table.tuples(), coerce=False), usable
 
 
-def _merge_joined(
-    joined: Table, feed: Table, target_schema: Schema, target_attributes: Sequence[str]
-) -> Table:
-    """After a join, prefer newly joined values for attributes the feed lacked."""
-    rows = []
-    for row in joined.rows():
-        values = []
-        for attribute in target_attributes:
-            value = row.get(attribute)
-            if is_null(value):
-                # The join may have carried the attribute under a prefixed
-                # name when both sides had it; prefer any non-null variant.
-                for name in row.schema.attribute_names:
-                    if name.endswith(f".{attribute}") and not is_null(row[name]):
-                        value = row[name]
-                        break
-            values.append(value)
-        rows.append(tuple(values))
-    schema = target_schema.project(list(target_attributes), target_schema.name)
-    return Table(schema, rows)
+def _coerce_or_null(value: Any, dtype: DataType) -> Any:
+    """``value`` as ``dtype``, or NULL when it cannot be represented in that type."""
+    try:
+        return coerce_value(value, dtype)
+    except TypeCoercionError:
+        return None
+
+
+def _project_onto(table: Table, schema: Schema) -> list[tuple]:
+    """The rows of ``table`` over the attributes of ``schema``, each value coerced
+    to its target type or NULL; attributes ``table`` lacks are NULL."""
+    columns = [
+        (table.schema.position(a.name) if a.name in table.schema else None, a.dtype)
+        for a in schema.attributes
+    ]
+    return [
+        tuple(
+            None if position is None else _coerce_or_null(values[position], dtype)
+            for position, dtype in columns
+        )
+        for values in table.tuples()
+    ]
+
+
+def _enrich(
+    feed: list[tuple], schema: Schema, feed_key: str, enrichment: Table, enrichment_key: str
+) -> list[tuple]:
+    """Left outer join of the feed rows (over ``schema``) with ``enrichment``.
+
+    Keys match by exact value and NULL keys never match. Every matching
+    enrichment row yields one output row; unmatched feed rows are kept as
+    they are. An enrichment attribute named like a feed attribute fills
+    only the feed's NULL cells, coerced to the target type or NULL.
+    """
+    key_position = enrichment.schema.position(enrichment_key)
+    index: dict[Any, list[tuple]] = defaultdict(list)
+    for values in enrichment.tuples():
+        if not is_null(values[key_position]):
+            index[values[key_position]].append(values)
+    fills = [
+        (i, enrichment.schema.position(a.name), a.dtype)
+        for i, a in enumerate(schema.attributes)
+        if a.name in enrichment.schema and a.name != enrichment_key
+    ]
+    feed_position = schema.position(feed_key)
+    joined = []
+    for row in feed:
+        key = row[feed_position]
+        matches = () if is_null(key) else index.get(key, ())
+        if not matches:
+            joined.append(row)
+        for match in matches:
+            merged = list(row)
+            for i, position, dtype in fills:
+                if is_null(merged[i]):
+                    merged[i] = _coerce_or_null(match[position], dtype)
+            joined.append(tuple(merged))
+    return joined
 
 
 def default_real_estate_etl() -> ManualEtlPipeline:

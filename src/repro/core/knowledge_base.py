@@ -89,10 +89,6 @@ class KnowledgeBase:
         predicate, values = fact
         return self.assert_fact(predicate, *values)
 
-    def assert_all(self, facts: Iterable[tuple[str, tuple]]) -> int:
-        """Assert many facts; returns how many were new."""
-        return sum(1 for fact in facts if self.assert_tuple(fact))
-
     def retract_fact(self, predicate: str, *values: Any) -> bool:
         """Remove one fact; returns True when it was present."""
         removed = self._facts.remove(predicate, tuple(values))

@@ -8,7 +8,7 @@ orchestrator works over whatever is registered.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from repro.core.errors import RegistryError
 from repro.core.transducer import Transducer
@@ -29,13 +29,6 @@ class TransducerRegistry:
         if transducer.name in self._transducers and not replace:
             raise RegistryError(f"a transducer named {transducer.name!r} is already registered")
         self._transducers[transducer.name] = transducer
-
-    def register_factory(self, factory: Callable[[], Transducer], *,
-                         replace: bool = False) -> Transducer:
-        """Instantiate and register a transducer from a zero-argument factory."""
-        transducer = factory()
-        self.register(transducer, replace=replace)
-        return transducer
 
     def deregister(self, name: str) -> Transducer:
         """Remove and return a transducer."""

@@ -63,10 +63,6 @@ class Trace:
 
     # -- summaries -----------------------------------------------------------
 
-    def executions_of(self, transducer: str) -> list[TraceStep]:
-        """All executions of one transducer."""
-        return [step for step in self.steps if step.transducer == transducer]
-
     def execution_counts(self) -> dict[str, int]:
         """Transducer name → number of executions."""
         return dict(Counter(step.transducer for step in self.steps))

@@ -184,11 +184,6 @@ class ConjunctiveQuery:
                     ordered.append(v)
         return ordered
 
-    def existential_variables(self) -> list[str]:
-        """Body variables that are not head variables."""
-        head = set(self.head)
-        return [v for v in self.variables() if v not in head]
-
     def __str__(self) -> str:
         head = ", ".join(self.head)
         body = ", ".join(str(atom) for atom in self.atoms)

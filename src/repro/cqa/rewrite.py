@@ -358,4 +358,3 @@ def naive_program(
         body.append(Literal(atom=Atom(atom.relation, terms)))
     goal = Atom("_cqa_naive", tuple(Variable(name) for name in projected))
     return Program((Rule(goal, body),)), goal
-

@@ -11,7 +11,7 @@ from collections import defaultdict
 from typing import Iterable, Iterator
 
 from repro.datalog.parser import parse_program
-from repro.datalog.terms import Atom, Rule
+from repro.datalog.terms import Rule
 
 __all__ = ["Program"]
 
@@ -40,11 +40,6 @@ class Program:
         else:
             self._rules.append(rule)
             self._rules_by_head[rule.head.predicate].append(rule)
-
-    def add_text(self, text: str) -> None:
-        """Parse and add every rule in ``text``."""
-        for rule in parse_program(text):
-            self.add(rule)
 
     def extend(self, rules: Iterable[Rule]) -> None:
         """Add many rules."""
@@ -83,16 +78,6 @@ class Program:
         """Predicates defined by at least one rule with a body."""
         return {rule.head.predicate for rule in self._rules}
 
-    def edb_predicates(self) -> set[str]:
-        """Predicates that only appear as facts or in rule bodies."""
-        idb = self.idb_predicates()
-        edb = {fact.head.predicate for fact in self._facts if fact.head.predicate not in idb}
-        for rule in self._rules:
-            for predicate in rule.body_predicates():
-                if predicate not in idb:
-                    edb.add(predicate)
-        return edb
-
     def predicates(self) -> set[str]:
         """All predicates mentioned anywhere in the program."""
         names = {rule.head.predicate for rule in self.all_rules()}
@@ -103,10 +88,6 @@ class Program:
     def rules_for(self, predicate: str) -> list[Rule]:
         """Rules whose head predicate is ``predicate``."""
         return list(self._rules_by_head.get(predicate, ()))
-
-    def facts_for(self, predicate: str) -> list[Atom]:
-        """Ground head atoms of facts for ``predicate``."""
-        return [fact.head for fact in self._facts if fact.head.predicate == predicate]
 
     def dependency_graph(self) -> dict[str, set[tuple[str, bool]]]:
         """Map head predicate → set of (body predicate, negated?) edges."""

@@ -322,10 +322,6 @@ class Rule:
         """True when the rule has an empty body (and therefore a ground head)."""
         return not self.body
 
-    def positive_body_atoms(self) -> list[Atom]:
-        """The positive relational atoms of the body."""
-        return [lit.atom for lit in self.body if lit.is_positive_atom]  # type: ignore[misc]
-
     def negated_body_atoms(self) -> list[Atom]:
         """The negated relational atoms of the body."""
         return [lit.atom for lit in self.body if lit.is_negated_atom]  # type: ignore[misc]

@@ -159,10 +159,7 @@ class DataFuser:
         member_lineages = {
             key: provenance.tuple_lineage(relation, key) for key in member_keys
         }
-        provenance.merge_tuples(
-            relation, kept_key,
-            [key for key in member_keys if key != kept_key],
-            operator=OPERATOR_FUSION)
+        provenance.merge_tuples(relation, kept_key, [key for key in member_keys if key != kept_key])
         # Per-cell lineage of the fused row: conflicting cells are witnessed
         # by the members whose value won, agreeing cells by every member.
         # The kept tuple's shared cell_sources map is per-*mapping* and

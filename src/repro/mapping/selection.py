@@ -421,4 +421,3 @@ class MappingSelector:
 
         ranking = sorted(weighted, key=sort_key)
         return SelectionOutcome(ranking=ranking, scores=dict(scores), weights=dict(weights or {}))
-

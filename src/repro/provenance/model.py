@@ -50,7 +50,6 @@ OPERATOR_MAPPING = "mapping"
 OPERATOR_FUSION = "fusion"
 OPERATOR_REPAIR = "repair"
 OPERATOR_FEEDBACK = "feedback"
-OPERATOR_DISTINCT = "distinct"
 
 
 class SourceRef(NamedTuple):
@@ -261,21 +260,13 @@ class ProvenanceStore:
             cells=cells,
         )
 
-    def merge_tuples(
-        self,
-        relation: str,
-        kept_key: str,
-        merged_keys: Iterable[str],
-        *,
-        operator: str = OPERATOR_FUSION,
-        detail: str | None = None,
-    ) -> None:
+    def merge_tuples(self, relation: str, kept_key: str, merged_keys: Iterable[str]) -> None:
         """Union the witnesses of ``merged_keys`` into ``kept_key``.
 
-        This is the why-provenance of fusion (and of ``distinct``): the
-        surviving tuple is supported by every duplicate that was collapsed
-        into it. Merged tuples' lineage is removed and their keys recorded
-        as dropped (with the kept key as the reason).
+        This is the why-provenance of fusion: the surviving tuple is
+        supported by every duplicate that was collapsed into it. Merged
+        tuples' lineage is removed and their keys recorded as dropped (with
+        the kept key as the reason).
         """
         if not self.enabled:
             return
@@ -295,10 +286,10 @@ class ProvenanceStore:
                 if mapping_id is None:
                     mapping_id = merged.mapping_id
             self._dropped.setdefault(relation, {})[merged_key] = (
-                f"{operator}: merged into {kept_key}"
+                f"{OPERATOR_FUSION}: merged into {kept_key}"
             )
         relation_tuples[str(kept_key)] = TupleLineage(
-            operator=operator,
+            operator=OPERATOR_FUSION,
             mapping_id=mapping_id,
             witnesses=frozenset(witnesses),
             cell_sources=cell_sources,

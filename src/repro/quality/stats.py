@@ -513,10 +513,6 @@ class AnswerAgreementStats:
             len(certain_set | repaired_set),
         )
 
-    def forget(self, query: str) -> None:
-        """Drop a query's contribution (workload shrank)."""
-        self.entries.pop(query, None)
-
     def merge(self, other: "AnswerAgreementStats") -> None:
         """Adopt another accumulator's observations (theirs win on overlap)."""
         self.entries.update(other.entries)

@@ -1,4 +1,4 @@
-"""Relational substrate: schemas, tables, operators, CSV I/O and a catalog.
+"""Relational substrate: schemas, tables, typed values, keys, CSV I/O and a catalog.
 
 This package is the storage layer of the reproduction. It plays the role of
 the "external file systems or databases" that hold extensional data in the
@@ -19,26 +19,7 @@ from repro.relational.errors import (
     TypeCoercionError,
     UnknownAttributeError,
 )
-from repro.relational.expressions import col, lit
 from repro.relational.keys import normalise_key, normalise_key_tuple
-from repro.relational.operators import (
-    Aggregation,
-    aggregate,
-    difference,
-    distinct,
-    extend,
-    group_by,
-    join,
-    left_outer_join,
-    limit,
-    natural_join,
-    project,
-    rename_attributes,
-    select,
-    sort,
-    union,
-    union_all,
-)
 from repro.relational.schema import Attribute, Schema
 from repro.relational.table import Row, Table
 from repro.relational.types import NULL, DataType, coerce_value, infer_type, is_null
@@ -54,26 +35,8 @@ __all__ = [
     "is_null",
     "coerce_value",
     "infer_type",
-    "col",
-    "lit",
     "normalise_key",
     "normalise_key_tuple",
-    "select",
-    "project",
-    "rename_attributes",
-    "extend",
-    "natural_join",
-    "join",
-    "left_outer_join",
-    "union",
-    "union_all",
-    "difference",
-    "distinct",
-    "sort",
-    "limit",
-    "aggregate",
-    "group_by",
-    "Aggregation",
     "read_csv",
     "write_csv",
     "read_csv_text",

@@ -8,7 +8,7 @@ and is also the unit exchanged between the matching and mapping components
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 from repro.relational.errors import DuplicateAttributeError, SchemaError, UnknownAttributeError
 from repro.relational.types import DataType
@@ -186,51 +186,9 @@ class Schema:
         key = tuple(k for k in self._key if k in names)
         return Schema(relation_name or self._name, attrs, key)
 
-    def drop(self, names: Iterable[str]) -> "Schema":
-        """Return a schema without the attributes in ``names``."""
-        to_drop = set(names)
-        for n in to_drop:
-            if n not in self._index:
-                raise UnknownAttributeError(n, self.attribute_names)
-        kept = [a.name for a in self._attributes if a.name not in to_drop]
-        return self.project(kept)
-
     def add(self, attribute: Attribute) -> "Schema":
         """Return a schema with ``attribute`` appended."""
         return Schema(self._name, (*self._attributes, attribute), self._key)
-
-    def with_key(self, key: Sequence[str]) -> "Schema":
-        """Return a schema with a different declared key."""
-        return Schema(self._name, self._attributes, tuple(key))
-
-    def merge(self, other: "Schema", relation_name: str | None = None) -> "Schema":
-        """Concatenate two schemas (used by joins); duplicate names from
-        ``other`` are prefixed with its relation name."""
-        merged: list[Attribute] = list(self._attributes)
-        taken = set(self.attribute_names)
-        for attribute in other.attributes:
-            name = attribute.name
-            if name in taken:
-                name = f"{other.name}.{attribute.name}"
-            if name in taken:
-                raise DuplicateAttributeError(
-                    f"cannot merge schemas: attribute {name!r} already present")
-            merged.append(attribute.with_name(name))
-            taken.add(name)
-        return Schema(relation_name or f"{self._name}_{other.name}", merged)
-
-    def compatible_with(self, other: "Schema") -> bool:
-        """Union compatibility: same arity and pairwise-compatible types."""
-        if self.arity != other.arity:
-            return False
-        for mine, theirs in zip(self._attributes, other.attributes):
-            if mine.dtype is DataType.ANY or theirs.dtype is DataType.ANY:
-                continue
-            if mine.dtype is not theirs.dtype:
-                numeric = {DataType.INTEGER, DataType.FLOAT}
-                if not (mine.dtype in numeric and theirs.dtype in numeric):
-                    return False
-        return True
 
     def to_dict(self) -> dict[str, Any]:
         """Serialise to a plain dictionary (used by the knowledge base)."""

@@ -128,11 +128,6 @@ class Table:
         return cls(schema, rows)
 
     @classmethod
-    def empty(cls, schema: Schema) -> "Table":
-        """An empty table with the given schema."""
-        return cls(schema, ())
-
-    @classmethod
     def infer(cls, name: str, records: Sequence[Mapping[str, Any]]) -> "Table":
         """Build a table from records, inferring the schema from the data."""
         if not records:
@@ -187,11 +182,6 @@ class Table:
         """All rows as raw value tuples (schema order)."""
         return list(self._rows)
 
-    def to_dicts(self) -> list[dict[str, Any]]:
-        """All rows as plain dictionaries."""
-        names = self._schema.attribute_names
-        return [dict(zip(names, values)) for values in self._rows]
-
     def column(self, name: str) -> list[Any]:
         """All values of the attribute ``name``, in row order."""
         position = self._schema.position(name)
@@ -209,10 +199,6 @@ class Table:
         return sum(1 for v in self.column(name) if is_null(v))
 
     # -- row identity ---------------------------------------------------------
-
-    def has_row_keys(self) -> bool:
-        """Whether the table carries the stable row-identity column."""
-        return ROW_KEY_ATTRIBUTE in self._schema
 
     def row_key(self, index: int) -> str:
         """Stable identity of one row.

@@ -873,10 +873,6 @@ class Wrangler:
             return None
         return stats.finalise()
 
-    def describe_transducers(self) -> list[dict]:
-        """Table-1-style description of the registered transducers."""
-        return self._registry.describe()
-
     def manual_actions(self) -> int:
         """How many manual configuration actions the user has performed.
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.scenarios.synth import SynthConfig, generate_synthetic, scenario_suite
+from repro.scenarios.synth import SynthConfig, generate_synthetic
 from repro.wrangler import batch as batch_module
 from repro.wrangler.config import WranglerConfig
 from repro.wrangler.batch import (

@@ -15,12 +15,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cqa import (
-    Classification,
-    ConjunctiveQuery,
     EnumerationConfig,
-    QueryAtom,
     QueryParseError,
-    Var,
     answer_certain,
     build_repair_space,
     classify,
@@ -32,9 +28,9 @@ from repro.cqa import (
     query_answers,
 )
 from repro.cqa.enumerate import _order_key
-from repro.quality.cfd import CFD, WILDCARD
+from repro.quality.cfd import CFD
 from repro.quality.stats import AnswerAgreementStats
-from repro.scenarios.synth import SynthConfig, generate_synthetic
+from repro.scenarios.synth import SynthConfig
 from repro.service.api import QueryRequest, QueryResponse, request_from_dict
 from repro.service.session import WranglingSession
 from repro.wrangler.pipeline import CQA_AGREEMENT_ARTIFACT_KEY

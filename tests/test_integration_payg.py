@@ -109,7 +109,6 @@ class TestAgainstManualEtlBaseline:
         from repro.quality import evaluate_quality
 
         scenario = payg_results["scenario"]
-        wrangler = payg_results["wrangler"]
         pipeline = default_real_estate_etl()
         sources = {table.name: table for table in scenario.sources()}
         etl_result = pipeline.run(sources, scenario.target)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.context.ahp import PairwiseMatrix, consistency_ratio
@@ -19,8 +19,7 @@ from repro.matching.similarity import (
     ngram_similarity,
 )
 from repro.quality.metrics import attribute_completeness, table_completeness
-from repro.relational import Attribute, DataType, Schema, Table, distinct, project, select, union_all
-from repro.relational.expressions import col
+from repro.relational import Attribute, DataType, Schema, Table
 from repro.relational.keys import normalise_key
 from repro.relational.types import coerce_value, infer_type, is_null
 
@@ -48,43 +47,6 @@ def tables(draw, min_rows: int = 0, max_rows: int = 12):
 
 
 # -- relational invariants -------------------------------------------------------
-
-
-@given(tables())
-@settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow])
-def test_select_never_invents_rows(table):
-    predicate = col("c0").is_not_null()
-    filtered = select(table, predicate)
-    assert len(filtered) <= len(table)
-    assert all(values in table.tuples() for values in filtered.tuples())
-
-
-@given(tables())
-@settings(max_examples=60)
-def test_distinct_is_idempotent_and_no_larger(table):
-    once = distinct(table)
-    twice = distinct(once)
-    assert len(once) <= len(table)
-    assert once.tuples() == twice.tuples()
-    assert len(set(once.tuples())) == len(once)
-
-
-@given(tables(), tables())
-@settings(max_examples=40)
-def test_union_all_row_count_is_sum(left, right):
-    if left.schema.arity != right.schema.arity:
-        return
-    merged = union_all(left, right.rename(left.name))
-    assert len(merged) == len(left) + len(right)
-
-
-@given(tables(min_rows=1))
-@settings(max_examples=60)
-def test_projection_preserves_row_count_and_order(table):
-    projected = project(table, [table.schema.attribute_names[0]])
-    assert len(projected) == len(table)
-    first = table.schema.attribute_names[0]
-    assert projected.column(first) == table.column(first)
 
 
 @given(tables())

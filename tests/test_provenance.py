@@ -22,7 +22,6 @@ from repro.provenance import (
 from repro.quality.cfd import CFD
 from repro.quality.repair import CFDRepairer
 from repro.relational import Attribute, Catalog, DataType, Schema, Table
-from repro.relational.operators import distinct, union_all
 from repro.wrangler.pipeline import Wrangler
 
 TARGET = Schema("item", [
@@ -260,53 +259,6 @@ class TestRepairLineage:
         assert cell.witnesses == frozenset()
         # Untouched cells keep their mapping lineage.
         assert store.contributing_sources("item_result", "shop_a:0", "name") == {"shop_a"}
-
-
-class TestOperatorLineage:
-    def test_distinct_merges_duplicate_lineage_by_row_key(self):
-        store = ProvenanceStore()
-        table = Table(RESULT_SCHEMA, [
-            ("widget", 10.0, "DE", "shop_a", "shop_a:0"),
-            ("widget", 10.0, "DE", "shop_b", "shop_b:0"),
-            ("gadget", 20.0, None, "shop_a", "shop_a:1"),
-        ])
-        for key in ("shop_a:0", "shop_b:0", "shop_a:1"):
-            store.record_tuple("item_result", key, operator="mapping",
-                               witnesses=(frozenset((store.ref("x", key),)),))
-        deduplicated = distinct(table, ["name", "price"], provenance=store)
-        assert len(deduplicated) == 2
-        lineage = store.tuple_lineage("item_result", "shop_a:0")
-        assert lineage.operator == "distinct"
-        assert len(lineage.witnesses) == 2
-        assert store.tuple_lineage("item_result", "shop_b:0") is None
-        # Untouched rows keep their lineage, keyed stably.
-        assert store.tuple_lineage("item_result", "shop_a:1") is not None
-
-    def test_positional_tables_are_not_tracked(self):
-        # Without the stable row-identity column, positional keys would be
-        # misattributed as soon as rows shift — so nothing is recorded.
-        store = ProvenanceStore()
-        schema = Schema("part", [Attribute("name", DataType.STRING)])
-        left = Table(schema, [("widget",), ("widget",)])
-        right = Table(schema.rename("part_b"), [("gadget",)])
-        combined = union_all(left, right, relation_name="parts", provenance=store)
-        deduplicated = distinct(combined, provenance=store)
-        assert store.tracked_count() == 0
-        assert len(deduplicated) == 2
-
-    def test_union_all_records_lineage_for_stable_keyed_inputs(self):
-        store = ProvenanceStore()
-        left = Table(RESULT_SCHEMA.rename("left_result"), [
-            ("widget", 10.0, "DE", "shop_a", "shop_a:0"),
-        ])
-        right = Table(RESULT_SCHEMA.rename("right_result"), [
-            ("gadget", 20.0, None, "shop_b", "shop_b:0"),
-        ])
-        combined = union_all(left, right, relation_name="parts", provenance=store)
-        assert len(combined) == 2
-        assert store.tracked_count("parts") == 2
-        assert store.contributing_sources("parts", "shop_a:0") == {"left_result"}
-        assert store.contributing_sources("parts", "shop_b:0") == {"right_result"}
 
 
 class TestExplain:

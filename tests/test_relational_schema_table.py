@@ -62,10 +62,6 @@ class TestSchema:
         projected = person_schema.project(["city", "name"])
         assert projected.attribute_names == ("city", "name")
 
-    def test_drop(self, person_schema):
-        dropped = person_schema.drop(["age"])
-        assert dropped.attribute_names == ("name", "city")
-
     def test_rename_attributes(self, person_schema):
         renamed = person_schema.rename_attributes({"name": "full_name"})
         assert "full_name" in renamed
@@ -74,20 +70,6 @@ class TestSchema:
     def test_rename_unknown_attribute_raises(self, person_schema):
         with pytest.raises(UnknownAttributeError):
             person_schema.rename_attributes({"salary": "pay"})
-
-    def test_merge_prefixes_duplicates(self, person_schema):
-        other = Schema("job", [Attribute("name"), Attribute("title")])
-        merged = person_schema.merge(other)
-        assert "job.name" in merged
-        assert "title" in merged
-
-    def test_compatible_with(self):
-        left = Schema("l", [Attribute("a", DataType.INTEGER), Attribute("b", DataType.STRING)])
-        right = Schema("r", [Attribute("x", DataType.FLOAT), Attribute("y", DataType.STRING)])
-        assert left.compatible_with(right)
-        incompatible = Schema("r2", [Attribute("x", DataType.STRING),
-                                     Attribute("y", DataType.STRING)])
-        assert not left.compatible_with(incompatible)
 
     def test_round_trip_dict(self, person_schema):
         assert Schema.from_dict(person_schema.to_dict()) == person_schema
