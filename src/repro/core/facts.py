@@ -35,6 +35,7 @@ __all__ = [
     "repair_fact",
     "duplicate_fact",
     "result_fact",
+    "result_relation_name",
     "Feedback",
 ]
 
@@ -211,6 +212,11 @@ def duplicate_fact(relation_a: str, key_a: str, relation_b: str, key_b: str,
 def result_fact(relation: str, mapping_id: str, row_count: int) -> tuple[str, tuple]:
     """``result(relation, mapping_id, row_count)``."""
     return Predicates.RESULT, (relation, mapping_id, row_count)
+
+
+def result_relation_name(target_relation: str) -> str:
+    """Canonical name of the materialised result table for a target relation."""
+    return f"{target_relation}_result"
 
 
 def _render(value: Any) -> str:

@@ -19,6 +19,7 @@ from typing import Iterable, Sequence
 from repro.core.facts import Feedback, Predicates
 from repro.core.knowledge_base import KnowledgeBase
 from repro.mapping.model import PROVENANCE_ROW_ID
+from repro.quality.stats import build_reference_index, cell_equal
 from repro.relational.keys import normalise_key_tuple
 from repro.relational.table import Table
 from repro.relational.types import is_null
@@ -94,12 +95,12 @@ def simulate_feedback(
             for name in result.schema.attribute_names
             if name in ground_truth.schema and name not in key and not name.startswith("_")
         ]
-    truth_index: dict[tuple, dict] = {}
-    for row in ground_truth.rows():
-        truth_key = normalise_key_tuple(row.get(k) for k in key)
-        if any(part is None for part in truth_key):
-            continue
-        truth_index.setdefault(truth_key, row.to_dict())
+    # A key attribute the ground truth lacks matches no row.
+    truth_index = (
+        build_reference_index(ground_truth, key)
+        if all(k in ground_truth.schema for k in key)
+        else {}
+    )
 
     candidates: list[tuple[str, str, bool]] = []
     has_row_id = PROVENANCE_ROW_ID in result.schema
@@ -118,7 +119,7 @@ def simulate_feedback(
                 # The user can tell a missing value is wrong at tuple level,
                 # but attribute feedback targets observed values.
                 continue
-            correct = _cell_equal(actual, expected_value)
+            correct = cell_equal(actual, expected_value)
             candidates.append((row_key, attribute, correct))
 
     rng.shuffle(candidates)
@@ -136,11 +137,3 @@ def simulate_feedback(
             )
         )
     return annotations
-
-
-def _cell_equal(left, right) -> bool:
-    if isinstance(left, str) and isinstance(right, str):
-        return left.strip().lower() == right.strip().lower()
-    if isinstance(left, (int, float)) and isinstance(right, (int, float)):
-        return abs(float(left) - float(right)) < 1e-9
-    return left == right

@@ -53,7 +53,7 @@ from repro.quality.cfd_learning import LearnedCFDs
 from repro.quality.repair import CFDRepairer
 from repro.quality.transducers import (
     CFD_ARTIFACT_KEY,
-    build_relation_entry,
+    build_relation_stats,
     quality_context_token,
     quality_stats_stash,
 )
@@ -268,7 +268,7 @@ class IncrementalWrangler:
         # contributions to the quality sufficient statistics, then refresh
         # the affected ``metric`` facts from the patched accumulators.
         metrics_started = time.perf_counter()
-        metrics_patched = self._patch_metrics(change_set, state, row_diffs, outcome)
+        metrics_patched = self._patch_metrics(change_set, row_diffs, outcome)
         outcome.details["metrics_seconds"] = time.perf_counter() - metrics_started
 
         # Phase E — bookkeeping: the engine has done the pipeline tail's
@@ -336,7 +336,6 @@ class IncrementalWrangler:
     def _patch_metrics(
         self,
         change_set: ChangeSet,
-        state,
         row_diffs: Mapping[str, tuple[dict[str, tuple], dict[str, tuple]]],
         outcome: IncrementalOutcome,
     ) -> bool:
@@ -352,24 +351,14 @@ class IncrementalWrangler:
         run recomputes the metrics from scratch).
         """
         kb = self._kb
-        # The metric transducer snapshots the stash into the incremental
-        # state; fall back to the KB artifact for sessions that predate it.
-        stash = state.quality or quality_stats_stash(kb, create=False)
+        stash = quality_stats_stash(kb, create=False)
         if stash is None or not stash.entries:
             return False  # metrics never computed — let the transducer run
-        from repro.quality.transducers import _metric_context
-
-        context = None
+        contexts: dict = {}
         refreshed: list[str] = []
 
         def rebuild(relation: str) -> None:
-            nonlocal context
-            if context is None:
-                context = _metric_context(kb)
-            subject_kind = stash.entries[relation].subject_kind
-            stash.entries[relation] = build_relation_entry(
-                kb, relation, subject_kind, context=context
-            )
+            stash.entries[relation].stats = build_relation_stats(kb, relation, contexts)
 
         token = quality_context_token(kb)
         if stash.context_token != token:

@@ -104,9 +104,6 @@ class IncrementalState:
         #: the materialised results (applied by a full pipeline pass or an
         #: incremental patch). Only unseen annotations dirty rows.
         self.seen_feedback: set[str] = set()
-        #: The quality-metric sufficient statistics as last stashed by the
-        #: quality transducer (shared with the ``quality_stats`` artifact).
-        self.quality = None
 
     def get(self, relation: str) -> RelationState | None:
         """The snapshot of one relation (None when untracked)."""
@@ -195,12 +192,6 @@ class IncrementalState:
         if not self.enabled:
             return
         self.seen_feedback |= feedback_ids
-
-    def observe_quality_stats(self, stash: Any) -> None:
-        """The quality transducer (re-)stashed the metric statistics."""
-        if not self.enabled:
-            return
-        self.quality = stash
 
     def __repr__(self) -> str:
         return (

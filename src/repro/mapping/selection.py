@@ -26,9 +26,7 @@ from typing import Mapping, Sequence
 
 from repro.mapping.execution import MappingExecutor
 from repro.mapping.model import SchemaMapping
-from repro.quality.cfd_learning import LearnedCFDs
-from repro.quality.metrics import evaluate_quality
-from repro.quality.stats import QualityStats, build_stats
+from repro.quality.stats import MetricContext, QualityStats, build_stats
 from repro.relational.catalog import Catalog
 from repro.relational.schema import Schema
 from repro.relational.table import Table
@@ -91,18 +89,18 @@ class LeafStatsCache:
     statistics; a union is bag concatenation, so its base score finalises
     the merge of its leaves'. The counters are integers, so every base score
     is bit-identical to :meth:`MappingScorer.base_score`. The cache is valid
-    for one scoring context (data context, learned CFDs, completeness
-    weights); its owner drops it when that context changes.
+    for one scoring context (evaluation context, completeness weights); its
+    owner drops it when that context changes.
     """
 
     #: Leaf ``structure_signature()`` → its statistics.
     leaves: dict[tuple, LeafStats] = field(default_factory=dict)
     #: A candidate's leaf versions → its finalised base score.
     bases: dict[tuple[int, ...], BaseScore] = field(default_factory=dict)
-    #: The context indexes every leaf's accumulators share (adopted from
-    #: the first leaf built).
-    reference_index: dict | None = None
-    master_keys: frozenset | None = None
+    #: The evaluation context every leaf is built in: the first scorer's,
+    #: kept with the reference index and master-key set its builds made, so
+    #: later rounds build neither again.
+    context: MetricContext | None = None
     last_version: int = 0
 
     def next_version(self) -> int:
@@ -119,30 +117,20 @@ class MappingScorer:
         catalog: Catalog,
         target_schema: Schema,
         *,
-        reference: Table | None = None,
-        reference_key: Sequence[str] = (),
-        master: Table | None = None,
-        master_key: Sequence[str] = (),
-        learned_cfds: LearnedCFDs | None = None,
+        context: MetricContext | None = None,
         feedback_penalties: Mapping[tuple[str, str], float] | None = None,
         mapping_penalties: Mapping[str, Mapping[str, float]] | None = None,
         completeness_weights: Mapping[str, float] | None = None,
-        coverage_prior: bool = True,
     ):
         self._catalog = catalog
         self._executor = MappingExecutor(catalog)
         self._target_schema = target_schema
         #: The layout of every executed candidate (target plus provenance).
         self._output_schema = self._executor.output_schema(target_schema, "__candidate")
-        self._reference = reference
-        self._reference_key = list(reference_key)
-        self._master = master
-        self._master_key = list(master_key)
-        self._learned_cfds = learned_cfds
+        self._context = context if context is not None else MetricContext()
         self._feedback_penalties = dict(feedback_penalties or {})
         self._mapping_penalties = dict(mapping_penalties or {})
-        self._completeness_weights = dict(completeness_weights or {})
-        self._coverage_prior = coverage_prior
+        self._completeness_weights = dict(completeness_weights) if completeness_weights else None
 
     def base_score(self, mapping: SchemaMapping) -> BaseScore:
         """Penalty-free criterion scores of one candidate (and its row count).
@@ -155,18 +143,11 @@ class MappingScorer:
         table = self._executor.execute(
             mapping, self._target_schema, result_name=f"__candidate_{mapping.mapping_id}"
         )
-        cfds = self._learned_cfds.cfds if self._learned_cfds else []
-        witnesses = self._learned_cfds.witnesses if self._learned_cfds else {}
-        report = evaluate_quality(
+        report = build_stats(
             table,
-            reference=self._reference,
-            reference_key=self._reference_key,
-            cfds=[cfd for cfd in cfds if cfd.rhs in table.schema],
-            witnesses=witnesses,
-            master=self._master,
-            master_key=self._master_key,
-            completeness_weights=self._completeness_weights or None,
-        )
+            **self._context.stats_arguments(table.schema),
+            completeness_weights=self._completeness_weights,
+        ).finalise()
         return report.as_dict(), len(table)
 
     def score(self, mapping: SchemaMapping, base: BaseScore | None = None) -> MappingScore:
@@ -217,8 +198,6 @@ class MappingScorer:
             mapping.mapping_id: self.score(mapping, bases[mapping.mapping_id])
             for mapping in mappings
         }
-        if not self._coverage_prior or not scores:
-            return scores
         target_attributes = [
             name for name in self._target_schema.attribute_names if not name.startswith("_")
         ]
@@ -241,6 +220,8 @@ class MappingScorer:
         self, mappings: Sequence[SchemaMapping], cache: LeafStatsCache
     ) -> dict[str, BaseScore]:
         """Base scores from the cache's leaf statistics, brought up to date."""
+        if cache.context is None:
+            cache.context = self._context
         leaves: dict[tuple, LeafStats] = {}
         bases: dict[tuple[int, ...], BaseScore] = {}
         by_id: dict[str, BaseScore] = {}
@@ -289,11 +270,7 @@ class MappingScorer:
                 entry.version = cache.next_version()
                 return entry
         table = self._executor.execute(leaf, self._target_schema, result_name=result_name)
-        stats = build_stats(table, **self._stats_context(cache))
-        if stats.accuracy is not None:
-            cache.reference_index = stats.accuracy.reference_index
-        if stats.relevance is not None:
-            cache.master_keys = stats.relevance.master_keys
+        stats = cache.context.build(table, completeness_weights=self._completeness_weights)
         return LeafStats(tables=tables, stats=stats, version=cache.next_version())
 
     def _finalise(self, parts: list[QualityStats], cache: LeafStatsCache) -> BaseScore:
@@ -301,26 +278,14 @@ class MappingScorer:
         if len(parts) == 1:
             stats = parts[0]
         else:
-            stats = QualityStats.for_schema(self._output_schema, **self._stats_context(cache))
+            stats = QualityStats.for_schema(
+                self._output_schema,
+                **cache.context.stats_arguments(self._output_schema),
+                completeness_weights=self._completeness_weights,
+            )
             for part in parts:
                 stats.merge(part)
         return stats.finalise().as_dict(), stats.row_count
-
-    def _stats_context(self, cache: LeafStatsCache) -> dict:
-        """:func:`build_stats` arguments of this scorer's evaluation context,
-        sharing the cache's context indexes."""
-        cfds = self._learned_cfds.cfds if self._learned_cfds else []
-        return {
-            "reference": self._reference,
-            "reference_key": self._reference_key,
-            "cfds": [cfd for cfd in cfds if cfd.rhs in self._output_schema],
-            "witnesses": self._learned_cfds.witnesses if self._learned_cfds else {},
-            "master": self._master,
-            "master_key": self._master_key,
-            "completeness_weights": self._completeness_weights or None,
-            "reference_index": cache.reference_index,
-            "master_keys": cache.master_keys,
-        }
 
     def _apply_feedback_penalty(
         self, mapping: SchemaMapping, accuracy: float, row_count: int
@@ -398,9 +363,6 @@ class SelectionOutcome:
 class MappingSelector:
     """Ranks candidate mappings by weighted criterion scores."""
 
-    def __init__(self, *, tie_break_by_confidence: bool = True):
-        self._tie_break_by_confidence = tie_break_by_confidence
-
     def select(
         self, scores: Mapping[str, MappingScore], weights: Mapping[str, float] | None = None
     ) -> SelectionOutcome:
@@ -413,10 +375,7 @@ class MappingSelector:
 
         def sort_key(item: tuple[str, float]):
             mapping_id, value = item
-            if self._tie_break_by_confidence:
-                confidence = scores[mapping_id].match_confidence
-            else:
-                confidence = 0.0
+            confidence = scores[mapping_id].match_confidence
             return (-round(value, 9), -round(confidence, 9), mapping_id)
 
         ranking = sorted(weighted, key=sort_key)

@@ -15,6 +15,7 @@ from repro.core.facts import (
     mapping_score_fact,
     mapping_selected_fact,
     result_fact,
+    result_relation_name,
     source_selected_fact,
 )
 from repro.core.knowledge_base import KnowledgeBase
@@ -27,7 +28,7 @@ from repro.mapping.model import SchemaMapping
 from repro.mapping.selection import LeafStatsCache, MappingScorer, MappingSelector
 from repro.provenance.feedback import LINEAGE_PENALTIES_ARTIFACT_KEY
 from repro.provenance.model import provenance_store
-from repro.quality.transducers import CFD_ARTIFACT_KEY
+from repro.quality.transducers import metric_context, quality_context_token
 
 __all__ = [
     "MAPPINGS_ARTIFACT_KEY",
@@ -53,11 +54,6 @@ FEEDBACK_PENALTIES_ARTIFACT_KEY = "feedback_penalties"
 #: feedback-only re-scores execute nothing. The entry is dropped whenever
 #: the scoring context changes.
 BASE_SCORES_ARTIFACT_KEY = "mapping_base_scores"
-
-
-def result_relation_name(target_relation: str) -> str:
-    """Canonical name of the materialised result table for a target relation."""
-    return f"{target_relation}_result"
 
 
 def selected_mapping(kb: KnowledgeBase) -> SchemaMapping | None:
@@ -147,16 +143,15 @@ class MappingQualityTransducer(Transducer):
     def _base_cache(self, kb: KnowledgeBase) -> dict[str, LeafStatsCache]:
         """The session's per-leaf statistics, one cache per target relation.
 
-        Leaf statistics depend on the source tables, the data context, the
-        learned CFDs and the completeness weights — but *not* on feedback.
+        Leaf statistics depend on the source tables, the evaluation context
+        and the completeness weights — but *not* on feedback.
         :meth:`MappingScorer.score_all` follows source changes leaf by leaf
         (it compares the source tables each leaf was computed from); the
         context key tracks the revisions of the other inputs, and any
         change there drops every leaf.
         """
         context_key = (
-            kb.predicate_revision(Predicates.CFD),
-            kb.predicate_revision(Predicates.DATA_CONTEXT),
+            quality_context_token(kb),
             kb.predicate_revision(Predicates.CRITERION_WEIGHT),
         )
         cache = kb.get_artifact(BASE_SCORES_ARTIFACT_KEY)
@@ -179,17 +174,10 @@ def score_candidates(
     candidates: dict[str, SchemaMapping] = kb.get_artifact(MAPPINGS_ARTIFACT_KEY, {})
     facts = []
     for target_relation in kb.target_relations():
-        target_schema = kb.schema_of(target_relation)
-        reference, reference_key = _context_table(kb, Predicates.CONTEXT_REFERENCE, target_relation)
-        master, master_key = _context_table(kb, Predicates.CONTEXT_MASTER, target_relation)
         scorer = MappingScorer(
             kb.catalog,
-            target_schema,
-            reference=reference,
-            reference_key=reference_key,
-            master=master,
-            master_key=master_key,
-            learned_cfds=kb.get_artifact(CFD_ARTIFACT_KEY),
+            kb.schema_of(target_relation),
+            context=metric_context(kb, target_relation),
             feedback_penalties=kb.get_artifact(FEEDBACK_PENALTIES_ARTIFACT_KEY, {}),
             mapping_penalties=kb.get_artifact(LINEAGE_PENALTIES_ARTIFACT_KEY, {}),
             completeness_weights=_completeness_weights(kb),
@@ -356,29 +344,3 @@ def _completeness_weights(kb: KnowledgeBase) -> dict[str, float]:
         if dimension == "completeness":
             weights[attribute] = weights.get(attribute, 0.0) + float(weight)
     return weights
-
-
-def _context_table(kb: KnowledgeBase, kind: str, target_relation: str):
-    """The first data-context table of ``kind`` for ``target_relation`` plus a key.
-
-    Reference data is joined on an identifying attribute (a postcode-like
-    attribute when one exists) so the *other* shared attributes can be
-    checked for accuracy. Master data instead describes whole entities, so
-    all shared attributes together form the coverage key for relevance.
-    """
-    for context_name, context_kind, bound_target in kb.facts(Predicates.DATA_CONTEXT):
-        if context_kind != kind or bound_target != target_relation:
-            continue
-        if not kb.has_table(context_name):
-            continue
-        table = kb.get_table(context_name)
-        target_schema = kb.schema_of(target_relation)
-        shared = [name for name in table.schema.attribute_names if name in target_schema]
-        if not shared:
-            continue
-        if kind == Predicates.CONTEXT_MASTER:
-            key = shared
-        else:
-            key = [name for name in shared if "postcode" in name.lower()] or shared[:1]
-        return table, key
-    return None, []

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
 from repro.provenance.model import OPERATOR_REPAIR, ProvenanceStore
-from repro.quality.cfd import CFD
+from repro.quality.cfd import CFD, _values_equal
 from repro.relational.table import Table
 from repro.relational.types import is_null
 
@@ -66,17 +66,6 @@ class RepairResult:
 class CFDRepairer:
     """Applies CFDs (with witnesses) to repair a table."""
 
-    def __init__(
-        self,
-        *,
-        impute_missing: bool = True,
-        fix_violations: bool = True,
-        min_confidence: float = 0.0,
-    ):
-        self._impute_missing = impute_missing
-        self._fix_violations = fix_violations
-        self._min_confidence = min_confidence
-
     def repair(
         self,
         table: Table,
@@ -94,10 +83,7 @@ class CFDRepairer:
         the CFD (and its witness reference data) that rewrote it.
         """
         witnesses = witnesses or {}
-        ordered = sorted(
-            (cfd for cfd in cfds if cfd.confidence >= self._min_confidence),
-            key=lambda cfd: (-cfd.confidence, -cfd.support, cfd.cfd_id),
-        )
+        ordered = sorted(cfds, key=lambda cfd: (-cfd.confidence, -cfd.support, cfd.cfd_id))
         rows = [list(values) for values in table.tuples()]
         schema = table.schema
         actions: list[RepairAction] = []
@@ -121,12 +107,8 @@ class CFDRepairer:
                     continue
                 current = values[rhs_position]
                 if is_null(current):
-                    if not self._impute_missing:
-                        continue
                     kind = "imputation"
                 elif not _values_equal(current, expected):
-                    if not self._fix_violations:
-                        continue
                     kind = "violation"
                 else:
                     continue
@@ -156,11 +138,3 @@ class CFDRepairer:
                     detail=f"{action.cfd_id}:{action.kind}",
                 )
         return RepairResult(table=repaired, actions=actions)
-
-
-def _values_equal(left: Any, right: Any) -> bool:
-    if isinstance(left, str) and isinstance(right, str):
-        return left.strip().lower() == right.strip().lower()
-    if isinstance(left, (int, float)) and isinstance(right, (int, float)):
-        return float(left) == float(right)
-    return left == right

@@ -17,9 +17,12 @@ calls that ends in row multiset *R*, ``finalise()`` is **bit-identical** to
 the scan functions in ``metrics.py`` are themselves implemented as "build
 stats, then finalise", and the property tests in
 ``tests/test_quality_stats.py`` check the equality over random tables and
-random deltas. ``merge`` combines accumulators built over disjoint shards
-(associatively), which is what lets the batch runner evaluate per-shard and
-still report exact whole-run metrics.
+random deltas. ``merge`` combines accumulators built over disjoint row sets
+(associatively): candidate scoring finalises a union mapping from the merge
+of its leaves' statistics (:class:`repro.mapping.selection.LeafStatsCache`).
+
+:class:`MetricContext` holds the data context a relation is scored against
+and turns it into the :func:`build_stats` arguments for a row layout.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ __all__ = [
     "RelevanceStats",
     "AnswerAgreementStats",
     "QualityStats",
+    "MetricContext",
     "build_stats",
     "build_reference_index",
     "build_master_keys",
@@ -69,9 +73,11 @@ def build_master_keys(master: Table, key: Sequence[str]) -> frozenset:
 
 
 def cell_equal(left: Any, right: Any) -> bool:
-    """Accuracy's cell comparison: trimmed case-folded strings, 1e-9 floats."""
-    if is_null(left) or is_null(right):
-        return False
+    """Accuracy's comparison of two non-NULL cells.
+
+    Trimmed case-folded strings, numbers within 1e-9. Callers skip NULLs
+    (a missing value is completeness's concern, not accuracy's).
+    """
     if isinstance(left, str) and isinstance(right, str):
         return left.strip().lower() == right.strip().lower()
     if isinstance(left, (int, float)) and isinstance(right, (int, float)):
@@ -722,3 +728,63 @@ def build_stats(
     )
     stats.add_table(table)
     return stats
+
+
+@dataclass
+class MetricContext:
+    """The data context a relation's quality is scored against.
+
+    The learned CFDs with their witnesses, the reference table with the key
+    accuracy joins on, and the master table with the key relevance covers.
+    The keyed reference index and the master-key set depend only on a
+    context table and a key, never on the relation scored: the context
+    keeps each one that :meth:`build` makes (inside :func:`build_stats`) and
+    passes it to every later build, so each is built once per key.
+    """
+
+    cfds: Sequence[CFD] = ()
+    witnesses: Mapping[str, Mapping[tuple, Any]] = field(default_factory=dict)
+    reference: Table | None = None
+    reference_key: Sequence[str] = ()
+    master: Table | None = None
+    master_key: Sequence[str] = ()
+    #: Join key → the reference index / master-key set built for it so far.
+    reference_indexes: dict[tuple, dict[tuple, dict[str, Any]]] = field(default_factory=dict)
+    master_key_sets: dict[tuple, frozenset] = field(default_factory=dict)
+
+    def stats_arguments(self, schema) -> dict[str, Any]:
+        """The :func:`build_stats` arguments for rows laid out as ``schema``.
+
+        Each join key keeps the attributes the layout has (accuracy or
+        relevance without one is not measured), and the CFDs those whose
+        right-hand side it has.
+        """
+        reference_key = tuple(k for k in self.reference_key if k in schema)
+        master_key = tuple(k for k in self.master_key if k in schema)
+        return {
+            "reference": self.reference if reference_key else None,
+            "reference_key": reference_key,
+            "cfds": [cfd for cfd in self.cfds if cfd.rhs in schema],
+            "witnesses": self.witnesses,
+            "master": self.master if master_key else None,
+            "master_key": master_key,
+            "reference_index": self.reference_indexes.get(reference_key),
+            "master_keys": self.master_key_sets.get(master_key),
+        }
+
+    def build(
+        self, table: Table, *, completeness_weights: Mapping[str, float] | None = None
+    ) -> QualityStats:
+        """:func:`build_stats` over ``table`` in this context."""
+        stats = build_stats(
+            table,
+            **self.stats_arguments(table.schema),
+            completeness_weights=completeness_weights,
+        )
+        # An accuracy criterion that compares no attribute skipped the index
+        # build and holds an empty one: only a real index is kept.
+        if stats.accuracy is not None and stats.accuracy.names:
+            self.reference_indexes.setdefault(stats.accuracy.key, stats.accuracy.reference_index)
+        if stats.relevance is not None:
+            self.master_key_sets.setdefault(stats.relevance.key, stats.relevance.master_keys)
+        return stats

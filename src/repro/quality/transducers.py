@@ -14,21 +14,22 @@ result, instead of rescanning every table per feedback round.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.core.facts import Predicates, cfd_fact, metric_fact, repair_fact
+from repro.core.facts import (
+    Predicates,
+    cfd_fact,
+    metric_fact,
+    repair_fact,
+    result_relation_name,
+)
 from repro.core.knowledge_base import KnowledgeBase
 from repro.core.transducer import Activity, Transducer, TransducerResult
 from repro.incremental.state import incremental_state
 from repro.provenance.model import provenance_store
 from repro.quality.cfd_learning import CFDLearner, CFDLearnerConfig, LearnedCFDs
 from repro.quality.repair import CFDRepairer
-from repro.quality.stats import (
-    QualityStats,
-    build_master_keys,
-    build_reference_index,
-    build_stats,
-)
+from repro.quality.stats import MetricContext, QualityStats
 
 __all__ = [
     "CFD_ARTIFACT_KEY",
@@ -37,8 +38,8 @@ __all__ = [
     "QualityStatsStash",
     "quality_context_token",
     "quality_stats_stash",
+    "metric_context",
     "build_relation_stats",
-    "build_relation_entry",
     "CFDLearningTransducer",
     "QualityMetricTransducer",
     "DataRepairTransducer",
@@ -58,11 +59,6 @@ class QualityStatsEntry:
 
     subject_kind: str
     stats: QualityStats
-    #: Names of the data-context tables the accumulators were built against
-    #: (None when the criterion had no context) — consumers verify they
-    #: would have picked the same ones before trusting the entry.
-    reference_name: str | None = None
-    master_name: str | None = None
 
 
 class QualityStatsStash:
@@ -123,46 +119,20 @@ def quality_stats_stash(kb: KnowledgeBase, *, create: bool = True) -> QualitySta
     return stash
 
 
-@dataclass
-class MetricContext:
-    """One metric run's evaluation inputs, with shared index caches.
+def metric_context(kb: KnowledgeBase, target_relation: str | None = None) -> MetricContext:
+    """The evaluation context of relations bound to ``target_relation``.
 
-    The keyed reference index and the master-key set depend only on the
-    context tables and the join keys — never on the relation evaluated —
-    so one context builds each at most once per key, however many sources
-    and results share it.
+    The learned CFDs, and the first reference and the first master table
+    bound to that target, each with its join key. Without a target, the
+    first table of each kind bound to any target: the context sources are
+    scored against.
     """
-
-    learned: LearnedCFDs | None
-    reference: object
-    reference_key: list
-    master: object
-    master_key: list
-    _reference_indexes: dict = field(default_factory=dict)
-    _master_key_sets: dict = field(default_factory=dict)
-
-    def reference_index(self, key: tuple):
-        cached = self._reference_indexes.get(key)
-        if cached is None:
-            cached = build_reference_index(self.reference, key)
-            self._reference_indexes[key] = cached
-        return cached
-
-    def master_keys(self, key: tuple):
-        cached = self._master_key_sets.get(key)
-        if cached is None:
-            cached = build_master_keys(self.master, key)
-            self._master_key_sets[key] = cached
-        return cached
-
-
-def _metric_context(kb: KnowledgeBase) -> MetricContext:
-    """The evaluation inputs (CFDs, reference, master) the metric run uses."""
     learned: LearnedCFDs | None = kb.get_artifact(CFD_ARTIFACT_KEY)
-    reference, reference_key = _context_table(kb, Predicates.CONTEXT_REFERENCE)
-    master, master_key = _context_table(kb, Predicates.CONTEXT_MASTER)
+    reference, reference_key = _context_table(kb, Predicates.CONTEXT_REFERENCE, target_relation)
+    master, master_key = _context_table(kb, Predicates.CONTEXT_MASTER, target_relation)
     return MetricContext(
-        learned=learned,
+        cfds=learned.cfds if learned else (),
+        witnesses=learned.witnesses if learned else {},
         reference=reference,
         reference_key=reference_key,
         master=master,
@@ -170,58 +140,51 @@ def _metric_context(kb: KnowledgeBase) -> MetricContext:
     )
 
 
+def _context_table(kb: KnowledgeBase, kind: str, target_relation: str | None):
+    """The first data-context table of ``kind`` for ``target_relation`` plus a key.
+
+    Reference data is joined on an identifying attribute (a postcode-like
+    attribute when one exists) so the *other* shared attributes can be
+    checked for accuracy. Master data instead describes whole entities, so
+    all shared attributes together form the coverage key for relevance.
+    """
+    for context_name, context_kind, bound_target in kb.facts(Predicates.DATA_CONTEXT):
+        if context_kind != kind or not kb.has_table(context_name):
+            continue
+        if target_relation is not None and bound_target != target_relation:
+            continue
+        table = kb.get_table(context_name)
+        target_schema = kb.schema_of(bound_target)
+        shared = [name for name in table.schema.attribute_names if name in target_schema]
+        if not shared:
+            continue
+        if kind == Predicates.CONTEXT_MASTER:
+            key = shared
+        else:
+            key = [name for name in shared if "postcode" in name.lower()] or shared[:1]
+        return table, key
+    return None, []
+
+
 def build_relation_stats(
-    kb: KnowledgeBase, relation: str, *, context: MetricContext | None = None
+    kb: KnowledgeBase, relation: str, contexts: dict | None = None
 ) -> QualityStats:
     """Fresh accumulators for one relation against the current data context.
 
-    Exactly the evaluation the metric transducer performs for that relation
-    — the engine uses this to rebuild a stash entry it cannot patch.
+    Exactly the evaluation the metric transducer performs for that relation:
+    a result is scored against its own target's :func:`metric_context`, a
+    source against the context without a target. ``contexts`` (target →
+    context) carries the contexts, with the indexes they built, from one
+    call to the next.
     """
-    if context is None:
-        context = _metric_context(kb)
-    learned = context.learned
-    cfds = learned.cfds if learned else []
-    witnesses = learned.witnesses if learned else {}
-    table = kb.get_table(relation)
-    shared_reference_key = [
-        k for k in context.reference_key if context.reference is not None and k in table.schema
-    ]
-    shared_master_key = [
-        k for k in context.master_key if context.master is not None and k in table.schema
-    ]
-    return build_stats(
-        table,
-        reference=context.reference if shared_reference_key else None,
-        reference_key=shared_reference_key,
-        cfds=[cfd for cfd in cfds if cfd.rhs in table.schema],
-        witnesses=witnesses,
-        master=context.master if shared_master_key else None,
-        master_key=shared_master_key,
-        reference_index=(
-            context.reference_index(tuple(shared_reference_key))
-            if shared_reference_key
-            else None
-        ),
-        master_keys=(
-            context.master_keys(tuple(shared_master_key)) if shared_master_key else None
-        ),
+    target = next(
+        (name for name in kb.target_relations() if result_relation_name(name) == relation), None
     )
-
-
-def build_relation_entry(
-    kb: KnowledgeBase, relation: str, subject_kind: str, *, context: MetricContext | None = None
-) -> QualityStatsEntry:
-    """A full stash entry for one relation (stats plus context identity)."""
-    if context is None:
-        context = _metric_context(kb)
-    stats = build_relation_stats(kb, relation, context=context)
-    return QualityStatsEntry(
-        subject_kind=subject_kind,
-        stats=stats,
-        reference_name=context.reference.name if stats.accuracy is not None else None,
-        master_name=context.master.name if stats.relevance is not None else None,
-    )
+    if contexts is None:
+        contexts = {}
+    if target not in contexts:
+        contexts[target] = metric_context(kb, target)
+    return contexts[target].build(kb.get_table(relation))
 
 
 class CFDLearningTransducer(Transducer):
@@ -287,7 +250,7 @@ class QualityMetricTransducer(Transducer):
     watch_predicates = ("cfd", "data_context", "result", "repair")
 
     def run(self, kb: KnowledgeBase) -> TransducerResult:
-        context = _metric_context(kb)
+        contexts: dict = {}
         added = 0
         evaluated = []
         stash = quality_stats_stash(kb)
@@ -302,15 +265,12 @@ class QualityMetricTransducer(Transducer):
         for subject_kind, relation in subjects:
             if not kb.has_table(relation):
                 continue
-            entry = build_relation_entry(kb, relation, subject_kind, context=context)
+            entry = QualityStatsEntry(subject_kind, build_relation_stats(kb, relation, contexts))
             stash.entries[relation] = entry
             for criterion, value in entry.stats.finalise().as_dict().items():
                 fact = metric_fact(subject_kind, relation, criterion, value)
                 added += int(kb.assert_tuple(fact))
             evaluated.append(relation)
-        state = incremental_state(kb, create=False)
-        if state is not None:
-            state.observe_quality_stats(stash)
         # Stamped after the assertions: the entries reflect the KB exactly
         # as it stands when this transducer hands back control.
         stash.synced_revision = kb.revision
@@ -319,34 +279,6 @@ class QualityMetricTransducer(Transducer):
             notes=f"computed metrics for {len(evaluated)} datasets",
             details={"evaluated": evaluated},
         )
-
-    @staticmethod
-    def _context_table(kb: KnowledgeBase, kind: str):
-        """The first data-context table of ``kind`` and a join key for it."""
-        return _context_table(kb, kind)
-
-
-def _context_table(kb: KnowledgeBase, kind: str):
-    """The first data-context table of ``kind`` and a join key for it.
-
-    Reference data is keyed on an identifying attribute so the remaining
-    shared attributes can be checked; master data is keyed on all shared
-    attributes (coverage of whole entities).
-    """
-    for context_name, context_kind, target_relation in kb.facts(Predicates.DATA_CONTEXT):
-        if context_kind != kind or not kb.has_table(context_name):
-            continue
-        table = kb.get_table(context_name)
-        target_schema = kb.schema_of(target_relation)
-        shared = [name for name in table.schema.attribute_names if name in target_schema]
-        if not shared:
-            continue
-        if kind == Predicates.CONTEXT_MASTER:
-            key = shared
-        else:
-            key = [name for name in shared if "postcode" in name.lower()] or shared[:1]
-        return table, key
-    return None, []
 
 
 class DataRepairTransducer(Transducer):

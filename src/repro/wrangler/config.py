@@ -38,13 +38,6 @@ class WranglerConfig:
     mapping_generator: MappingGeneratorConfig = field(default_factory=MappingGeneratorConfig)
     cfd_learner: CFDLearnerConfig = field(default_factory=CFDLearnerConfig)
     duplicate_detector: DuplicateDetectorConfig = field(default_factory=DuplicateDetectorConfig)
-    #: Whether the fusion transducers are registered (duplicate detection and
-    #: fusion are optional in small/clean scenarios).
-    enable_fusion: bool = True
-    #: Whether the repair transducer is registered.
-    enable_repair: bool = True
-    #: Whether source-selection is registered (informational in the demo).
-    enable_source_selection: bool = True
     #: Whether why-provenance is recorded for every materialised tuple
     #: (lineage-aware explanations and feedback). Default on; switch off to
     #: benchmark the pipeline without lineage overhead.

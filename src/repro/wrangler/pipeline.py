@@ -67,13 +67,14 @@ from repro.mapping.transducers import (
 from repro.matching.transducers import InstanceMatchingTransducer, SchemaMatchingTransducer
 from repro.provenance.explain import LineageTree, explain_result, render_lineage
 from repro.provenance.model import ProvenanceStore, provenance_store
-from repro.quality.metrics import QualityReport, evaluate_quality
-from repro.quality.stats import AnswerAgreementStats
+from repro.quality.metrics import QualityReport
+from repro.quality.stats import AnswerAgreementStats, MetricContext
 from repro.quality.transducers import (
     CFD_ARTIFACT_KEY,
     CFDLearningTransducer,
     DataRepairTransducer,
     QualityMetricTransducer,
+    build_relation_stats,
     quality_stats_stash,
 )
 from repro.relational.schema import Schema
@@ -147,6 +148,8 @@ def build_default_registry(config: WranglerConfig | None = None) -> TransducerRe
     matching, mapping generation, CFD learning, quality metrics, repair,
     duplicate detection, data fusion, source selection, mapping selection,
     result materialisation, mapping evaluation and criterion weighting.
+    A pipeline without some of them is this registry with those
+    transducers deregistered, passed as ``Wrangler(registry=...)``.
     """
     config = config or WranglerConfig()
     registry = TransducerRegistry()
@@ -157,13 +160,10 @@ def build_default_registry(config: WranglerConfig | None = None) -> TransducerRe
     registry.register(MappingQualityTransducer())
     registry.register(CFDLearningTransducer(config.cfd_learner))
     registry.register(QualityMetricTransducer())
-    if config.enable_repair:
-        registry.register(DataRepairTransducer())
-    if config.enable_fusion:
-        registry.register(DuplicateDetectionTransducer(config.duplicate_detector))
-        registry.register(DataFusionTransducer())
-    if config.enable_source_selection:
-        registry.register(SourceSelectionTransducer())
+    registry.register(DataRepairTransducer())
+    registry.register(DuplicateDetectionTransducer(config.duplicate_detector))
+    registry.register(DataFusionTransducer())
+    registry.register(SourceSelectionTransducer())
     registry.register(MappingSelectionTransducer())
     registry.register(ResultMaterialisationTransducer())
     registry.register(MappingEvaluationTransducer())
@@ -777,101 +777,45 @@ class Wrangler:
     ) -> QualityReport | None:
         """Quality of the current result.
 
-        With ``ground_truth`` the result is scored against it (accuracy and
-        relevance use the ground truth); otherwise whatever reference/master
-        data the data context provides is used — mirroring what the system
-        itself can know.
+        With ``ground_truth`` the result is scored against it: the ground
+        truth is both the reference and the master data, joined on the
+        attributes of ``key`` both tables have. Otherwise the result is
+        scored against its target's data context — mirroring what the
+        system itself can know — exactly as the metric transducer scores it
+        (:func:`~repro.quality.transducers.build_relation_stats`).
 
-        When the session's maintained quality statistics exactly reflect
-        the current result (freshly patched by the incremental engine, or
-        just recomputed by the metric transducer) and the evaluation
-        context matches, the report is finalised from them without
-        rescanning the table. ``use_stats=False`` forces the full
-        recomputation (the validation harness compares both).
+        When the session's quality statistics are fresh — synced at the
+        current knowledge-base revision and built under the current CFD and
+        data-context revisions — the report is finalised from them without
+        rescanning the table. Otherwise, or with ``use_stats=False`` (the
+        validation harness compares both), the table is rescanned.
         """
         table = self.result()
         if table is None:
             return None
-        learned = self._kb.get_artifact(CFD_ARTIFACT_KEY)
-        cfds = learned.cfds if learned else []
-        witnesses = learned.witnesses if learned else {}
         if ground_truth is not None:
+            learned = self._kb.get_artifact(CFD_ARTIFACT_KEY)
             shared_key = [k for k in key if k in table.schema and k in ground_truth.schema]
-            return evaluate_quality(
-                table,
+            context = MetricContext(
+                cfds=learned.cfds if learned else (),
+                witnesses=learned.witnesses if learned else {},
                 reference=ground_truth,
                 reference_key=shared_key,
-                cfds=[cfd for cfd in cfds if cfd.rhs in table.schema],
-                witnesses=witnesses,
                 master=ground_truth,
                 master_key=shared_key,
             )
-        reference, reference_key = self._context_table(Predicates.CONTEXT_REFERENCE)
-        master, master_key = self._context_table(Predicates.CONTEXT_MASTER)
-        filtered_cfds = [cfd for cfd in cfds if cfd.rhs in table.schema]
-        if use_stats is not False:
-            report = self._stats_report(
-                table, reference, reference_key, filtered_cfds, master, master_key
-            )
-            if report is not None:
-                return report
-        report = evaluate_quality(
-            table,
-            reference=reference,
-            reference_key=reference_key,
-            cfds=filtered_cfds,
-            witnesses=witnesses,
-            master=master,
-            master_key=master_key,
-        )
-        return self._with_answer_agreement(table, report)
-
-    def _with_answer_agreement(self, table: Table, report: QualityReport) -> QualityReport:
-        """Graft the certain-vs-repaired agreement onto a recomputed report.
-
-        ``evaluate_quality`` scans rows and knows nothing about queries, so
-        the recomputation path would always drop the ``answer_agreement``
-        criterion observed by :meth:`query`. Its observations are keyed by
-        query text — independent of row-level stash syncing — so even a
-        stale stash entry carries them faithfully.
-        """
+            return context.build(table).finalise()
         stash = quality_stats_stash(self._kb, create=False)
+        if use_stats is not False and stash is not None and stash.fresh(self._kb, table.name):
+            return stash.report(table.name)
+        report = build_relation_stats(self._kb, table.name).finalise()
+        # A rescan knows nothing about queries: graft back the certain-vs-
+        # repaired agreement that query() observed. Its observations are
+        # keyed by query text, so even a stale stash entry carries them.
         entry = stash.get(table.name) if stash is not None else None
         if entry is None or entry.stats.answer_agreement is None:
             return report
         return replace(report, answer_agreement=entry.stats.answer_agreement.value())
-
-    def _stats_report(
-        self, table: Table, reference, reference_key, cfds, master, master_key
-    ) -> QualityReport | None:
-        """The maintained-statistics report, or None when it cannot be trusted.
-
-        Trust requires the stash to be exactly synced with the knowledge
-        base (nothing mutated since the engine patched or the transducer
-        ran) *and* the entry to have been built against the very same
-        evaluation inputs this evaluate() call resolved — same reference
-        and master tables, same join keys, same CFD list.
-        """
-        stash = quality_stats_stash(self._kb, create=False)
-        if stash is None or not stash.fresh(self._kb, table.name):
-            return None
-        entry = stash.get(table.name)
-        stats = entry.stats
-        if stats.row_count != len(table):
-            return None
-        want_reference = reference.name if reference is not None and reference_key else None
-        want_master = master.name if master is not None and master_key else None
-        if entry.reference_name != want_reference or entry.master_name != want_master:
-            return None
-        have_reference_key = stats.accuracy.key if stats.accuracy is not None else None
-        if want_reference is not None and have_reference_key != tuple(reference_key):
-            return None
-        have_master_key = stats.relevance.key if stats.relevance is not None else None
-        if want_master is not None and have_master_key != tuple(master_key):
-            return None
-        if stats.consistency.cfds != tuple(cfds):
-            return None
-        return stats.finalise()
 
     def manual_actions(self) -> int:
         """How many manual configuration actions the user has performed.
@@ -894,21 +838,3 @@ class Wrangler:
         if self._target_relation is None:
             raise ValueError("no target schema has been set; call set_target_schema first")
         return self._target_relation
-
-    def _context_table(self, kind: str):
-        for context_name, context_kind, target_relation in self._kb.facts(Predicates.DATA_CONTEXT):
-            if context_kind != kind or not self._kb.has_table(context_name):
-                continue
-            if self._target_relation is not None and target_relation != self._target_relation:
-                continue
-            table = self._kb.get_table(context_name)
-            target = self._kb.schema_of(target_relation)
-            shared = [name for name in table.schema.attribute_names if name in target]
-            if not shared:
-                continue
-            if kind == Predicates.CONTEXT_MASTER:
-                key = shared
-            else:
-                key = [name for name in shared if "postcode" in name.lower()] or shared[:1]
-            return table, key
-        return None, []

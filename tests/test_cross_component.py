@@ -8,7 +8,7 @@ from repro.mapping import MappingGenerator
 from repro.matching import SchemaMatcher
 from repro.relational import Catalog, write_csv
 from repro.scenarios import ScenarioConfig, generate_scenario
-from repro.wrangler import Wrangler, WranglerConfig
+from repro.wrangler import Wrangler, build_default_registry
 from repro.wrangler.result import WranglingResult
 
 
@@ -76,8 +76,10 @@ class TestScenarioPersistence:
 
 class TestWranglerConfiguration:
     def test_disabled_components_never_execute(self, tiny_scenario):
-        config = WranglerConfig(enable_fusion=False, enable_repair=False)
-        wrangler = Wrangler(config=config)
+        registry = build_default_registry()
+        for name in ("duplicate_detection", "data_fusion", "data_repair"):
+            registry.deregister(name)
+        wrangler = Wrangler(registry=registry)
         wrangler.add_sources(tiny_scenario.sources())
         wrangler.set_target_schema(tiny_scenario.target)
         wrangler.add_reference_data(tiny_scenario.address_reference)

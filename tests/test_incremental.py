@@ -24,6 +24,7 @@ from repro.mapping.transducers import (
     score_candidates,
 )
 from repro.provenance.feedback import LineageFeedbackPropagator
+from repro.quality import stats as quality_stats
 from repro.relational.catalog import Catalog
 from repro.relational.schema import Attribute, Schema
 from repro.relational.table import Table
@@ -593,6 +594,41 @@ class TestCandidateScoreCache:
         # Same context, same leaves: no leaf was patched or rebuilt.
         assert kb.get_artifact(BASE_SCORES_ARTIFACT_KEY)["caches"]["shipment"] is cache
         assert cache.last_version == versions
+
+    def test_append_and_feedback_rounds_build_no_context_index(self, monkeypatch):
+        scenario = generate_synthetic(
+            SynthConfig(family="shipment_tracking", entities=90, seed=4)
+        )
+        depots = next(table for table in scenario.sources if table.name == "depots")
+        held = depots.tuples()[-5:]
+        scenario = dataclasses.replace(scenario, sources=[
+            table.replace_rows(table.tuples()[:-5]) if table is depots else table
+            for table in scenario.sources
+        ])
+        wrangler = _prepare(scenario, WranglerConfig())
+        annotations = simulate_feedback(
+            wrangler.result(), scenario.ground_truth, scenario.evaluation_key,
+            budget=5, seed=1, strategy="targeted",
+        )
+        builds = []
+
+        def counted(name):
+            original = getattr(quality_stats, name)
+
+            def build(*args):
+                builds.append(name)
+                return original(*args)
+            return build
+
+        for name in ("build_reference_index", "build_master_keys"):
+            monkeypatch.setattr(quality_stats, name, counted(name))
+        # A lookup append rebuilds the join leaves that read it, in the
+        # context the cache kept, indexes included.
+        result = append(wrangler, "depots", held, incremental=True, evaluate=False)
+        assert result.incremental["applied"], result.incremental["reason"]
+        result = feedback(wrangler, annotations, incremental=True, evaluate=False)
+        assert result.incremental["applied"], result.incremental["reason"]
+        assert builds == []
 
 
 class TestCachedScoresProperty:

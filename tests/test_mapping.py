@@ -25,6 +25,7 @@ from repro.mapping import (
     result_relation_name,
 )
 from repro.matching import Correspondence, MatchSet
+from repro.quality.stats import MetricContext
 from repro.relational import Attribute, Catalog, DataType, Schema, Table
 
 TARGET = Schema("property", [
@@ -240,8 +241,8 @@ class TestMappingSelection:
             ("Oak Street", "M1 1AA", 100000.0, 10),
             ("Elm Road", "M5 3CC", 999999.0, 25),
         ])
-        scorer = MappingScorer(make_catalog(), TARGET, reference=reference,
-                               reference_key=["postcode"])
+        context = MetricContext(reference=reference, reference_key=["postcode"])
+        scorer = MappingScorer(make_catalog(), TARGET, context=context)
         score = scorer.score(direct_rightmove())
         assert score.criteria["accuracy"] < 1.0
 
@@ -384,8 +385,10 @@ class TestLeafStatsCache:
     def scorer(self, catalog: Catalog) -> MappingScorer:
         return MappingScorer(
             catalog, TARGET,
-            reference=self.REFERENCE, reference_key=["postcode"],
-            master=self.REFERENCE.rename("master"), master_key=["street", "postcode"],
+            context=MetricContext(
+                reference=self.REFERENCE, reference_key=["postcode"],
+                master=self.REFERENCE.rename("master"), master_key=["street", "postcode"],
+            ),
         )
 
     @staticmethod

@@ -254,13 +254,6 @@ class TestRepair:
         assert len(outcome.actions_of_kind("violation")) == 1
         assert len(outcome.actions_of_kind("imputation")) == 1
 
-    def test_repair_flags_can_disable_channels(self):
-        table = Table(PROPERTY_SCHEMA, [(None, "M1 1AA", 100.0, 2)])
-        cfd = CFD("cfd1", "property_result", ("postcode",), "street")
-        witnesses = {"cfd1": build_witness(ADDRESSES, ("postcode",), "street")}
-        no_impute = CFDRepairer(impute_missing=False).repair(table, [cfd], witnesses=witnesses)
-        assert no_impute.repaired_cells == 0
-
     def test_higher_confidence_cfd_wins(self):
         table = Table(PROPERTY_SCHEMA, [("Wrong Road", "M1 1AA", 100.0, 2)])
         strong = CFD("strong", "property_result", ("postcode",), "street", confidence=1.0)

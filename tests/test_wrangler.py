@@ -15,7 +15,14 @@ from repro import (
     build_default_registry,
 )
 from repro.core.orchestrator import PreferInstanceMatchingPolicy
+from repro.feedback.annotations import simulate_feedback
+from repro.incremental.validate import _prepare
 from repro.mapping.model import PROVENANCE_ROW_ID, PROVENANCE_SOURCE
+from repro.quality.metrics import evaluate_quality
+from repro.quality.transducers import CFD_ARTIFACT_KEY
+from repro.relational import Attribute, DataType, Schema
+from repro.scenarios.synth import SynthConfig, family_names, generate_synthetic
+from repro.service.api import FeedbackRequest
 
 
 class TestDefaultRegistry:
@@ -25,14 +32,6 @@ class TestDefaultRegistry:
         assert {"data_extraction", "schema_matching", "instance_matching",
                 "mapping_generation", "mapping_selection", "cfd_learning",
                 "quality_metrics", "mapping_evaluation"} <= names
-
-    def test_optional_components_can_be_disabled(self):
-        config = WranglerConfig(enable_fusion=False, enable_repair=False,
-                                enable_source_selection=False)
-        names = set(build_default_registry(config).names())
-        assert "data_fusion" not in names
-        assert "data_repair" not in names
-        assert "source_selection" not in names
 
     def test_table1_style_description(self):
         registry = build_default_registry()
@@ -188,3 +187,71 @@ class TestWranglerPayAsYouGo:
         candidates = wrangler.candidate_mappings()
         assert len(candidates) >= 3
         assert any(mapping.kind == "union" for mapping in candidates)
+
+
+class TestEvaluationContext:
+    """A result is scored against its own target's data context, alike by
+    its metric facts, the maintained statistics and a rescan."""
+
+    @staticmethod
+    def assert_scored_alike(wrangler):
+        report = wrangler.evaluate()
+        assert report.as_dict() == wrangler.evaluate(use_stats=False).as_dict()
+        facts = {
+            criterion: value
+            for _kind, relation, criterion, value in wrangler.kb.facts(Predicates.METRIC)
+            if relation == wrangler.result_name()
+        }
+        assert facts == {name: round(value, 6) for name, value in report.as_dict().items()}
+
+    def test_result_ignores_another_targets_reference(self, tiny_scenario):
+        wrangler = Wrangler()
+        wrangler.add_sources(tiny_scenario.sources())
+        wrangler.set_target_schema(tiny_scenario.target)
+        # A second target sorts first and is bound to a reference whose
+        # every street is wrong; the property result must not be scored
+        # against it.
+        other = Schema("aaa_other", [Attribute("street", DataType.STRING),
+                                     Attribute("postcode", DataType.STRING)])
+        wrangler.kb.describe_schema(other, Predicates.ROLE_TARGET)
+        address = tiny_scenario.address_reference
+        street = address.schema.position("street")
+        bad = address.rename("aaa_bad_ref").replace_rows([
+            row[:street] + (f"Nowhere {number}",) + row[street + 1:]
+            for number, row in enumerate(address.tuples())
+        ])
+        wrangler.add_reference_data(bad, target_relation="aaa_other")
+        wrangler.add_reference_data(address, target_relation="property")
+        wrangler.run("all", evaluate=False)
+        assert wrangler.evaluate().accuracy > 0.5
+        self.assert_scored_alike(wrangler)
+
+        annotations = simulate_feedback(
+            wrangler.result(), tiny_scenario.ground_truth, ("postcode", "price"),
+            budget=5, seed=1, strategy="targeted",
+        )
+        outcome = wrangler.session().feedback(
+            FeedbackRequest(annotations=tuple(annotations), incremental=True, evaluate=False)
+        ).incremental
+        assert outcome["applied"], outcome["reason"]
+        assert wrangler.result_name() in outcome["metrics_patched"]
+        self.assert_scored_alike(wrangler)
+
+    @pytest.mark.parametrize("family", family_names())
+    def test_ground_truth_evaluation_scans_against_the_ground_truth(self, family):
+        scenario = generate_synthetic(SynthConfig(family=family, entities=60, seed=2))
+        wrangler = _prepare(scenario, WranglerConfig())
+        result, truth = wrangler.result(), scenario.ground_truth
+        learned = wrangler.kb.get_artifact(CFD_ARTIFACT_KEY)
+        shared = [k for k in scenario.evaluation_key if k in result.schema and k in truth.schema]
+        expected = evaluate_quality(
+            result,
+            reference=truth,
+            reference_key=shared,
+            cfds=[cfd for cfd in learned.cfds if cfd.rhs in result.schema],
+            witnesses=learned.witnesses,
+            master=truth,
+            master_key=shared,
+        )
+        report = wrangler.evaluate(ground_truth=truth, key=scenario.evaluation_key)
+        assert report == expected
