@@ -32,7 +32,7 @@ from repro.provenance.feedback import (
     LineageFeedbackPropagator,
 )
 from repro.provenance.model import OPERATOR_FEEDBACK, ProvenanceStore, provenance_store
-from repro.quality.transducers import quality_stats_stash
+from repro.quality.transducers import patch_relation_stats
 from repro.relational.types import is_null
 
 __all__ = [
@@ -175,23 +175,12 @@ class FeedbackRepairTransducer(Transducer):
         rows_dropped = 0
         tables_written = []
         store = provenance_store(kb)
-        stash = quality_stats_stash(kb, create=False)
         for relation, marks in by_relation.items():
             if not kb.has_table(relation):
                 continue
             table = kb.get_table(relation)
             if PROVENANCE_ROW_ID not in table.schema:
                 continue
-            # Keep the quality sufficient statistics tracking the rewrite:
-            # this is the one table mutation the metric transducer's watch
-            # predicates cannot see, so the accumulators would silently go
-            # stale without it. Entries that already drifted are dropped
-            # (the incremental engine rebuilds them from the table).
-            entry = stash.entries.get(relation) if stash is not None else None
-            if entry is not None and entry.stats.row_count != len(table):
-                stash.entries.pop(relation, None)
-                entry = None
-            stats = entry.stats if entry is not None else None
             row_id_position = table.schema.position(PROVENANCE_ROW_ID)
             names = table.schema.attribute_names
             new_rows = []
@@ -204,20 +193,17 @@ class FeedbackRepairTransducer(Transducer):
                 if new_values is None:
                     rows_dropped += 1
                     changed = True
-                    if stats is not None:
-                        stats.remove_row(values)
                     continue
                 if cleared:
                     cells_cleared += cleared
                     changed = True
-                    if stats is not None:
-                        stats.replace_row(values, new_values)
                 new_rows.append(new_values)
             if changed:
                 rewritten = table.replace_rows(new_rows)
                 kb.update_table(rewritten)
                 if state is not None:
                     state.observe_table_updated(rewritten)
+                patch_relation_stats(kb, relation, table.tuples(), rewritten.tuples())
                 tables_written.append(relation)
         return TransducerResult(
             facts_added=0,

@@ -111,8 +111,10 @@ class DuplicateDetector:
         sorted windows; every other pair is kept and scored. A subclass
         that changes the scoring must keep these facts or override this.
 
-        With ``touching``, only pairs with an endpoint among those row
-        positions, enumerated from them (never a scan of all pairs).
+        With ``touching``, only the pairs with an endpoint among those row
+        positions, in the same order, streamed without scanning all pairs:
+        a touched row yields its later partners, any other row the touched
+        rows after it that it may pair with.
         """
         config = self._config
         schema = table.schema
@@ -138,14 +140,16 @@ class DuplicateDetector:
                 for left in index.eligible:
                     for right in index.later_partners(left):
                         yield left, right
-            else:
-                pairs = {
-                    (min(left, right), max(left, right))
-                    for left in index.eligible
-                    if left in touched
-                    for right in index.partners(left)
-                }
-                yield from sorted(pairs)
+                continue
+            targets = [member for member in index.eligible if member in touched]
+            for left in index.eligible:
+                if left in touched:
+                    for right in index.later_partners(left):
+                        yield left, right
+                else:
+                    for right in targets[bisect_right(targets, left) :]:
+                        if index.may_pair(left, right):
+                            yield left, right
 
     def pair_similarity(self, left: Row, right: Row) -> float:
         """Mean per-attribute similarity over the comparison attributes.
@@ -241,11 +245,14 @@ class _BlockIndex:
         high = bisect_right(magnitudes, magnitude / self.ratio)
         return owners[low:high]
 
-    def partners(self, member: int) -> list[int]:
-        """Every member ``member`` may pair with (unordered)."""
-        if member not in self.numbers:
-            return [other for other in self.eligible if other != member]
-        return self.wild + [other for other in self._window(member) if other != member]
+    def may_pair(self, member: int, later: int) -> bool:
+        """Whether the eligible ``later`` is among ``member``'s
+        :meth:`later_partners` (the same window bounds, without the list)."""
+        if member not in self.numbers or later not in self.numbers:
+            return True
+        sign, magnitude = self.numbers[member]
+        other_sign, other = self.numbers[later]
+        return sign == other_sign and magnitude * self.ratio <= other <= magnitude / self.ratio
 
     def later_partners(self, member: int) -> list[int]:
         """The partners with a higher row index, ascending."""

@@ -9,18 +9,25 @@ almost entirely redundant.
 
 :class:`IncrementalWrangler` replaces it with a patch:
 
-1. **assimilate** — the feedback-evaluation transducers run once (they are
-   cheap: matches, candidate regeneration, cached scoring, selection);
+1. **assimilate** — the evaluation-side transducers run once each, chosen
+   by the orchestrator's own readiness rule (:meth:`Transducer.can_run
+   <repro.core.transducer.Transducer.can_run>`): feedback wakes assimilation
+   and what it revises, an append the matchers that read the source (they
+   are cheap: matches, candidate regeneration, cached scoring, selection);
 2. **resolve** — the feedback and source-row deltas are closed over the
    snapshots and the selected mappings to the exact dirty row keys per
    result relation (:func:`~repro.incremental.impact.resolve`);
 3. **patch** — only the dirty driving rows re-execute, only their duplicate
-   pairs re-score, only their clusters re-fuse, only their cells re-repair;
-   the materialised table, the provenance store and the result facts are
-   patched in place;
+   pairs re-score, only their clusters re-fuse, only their cells re-repair,
+   all with the pipeline's own detector, fuser and repairer; the
+   materialised table, the provenance store and the result facts are
+   patched in place, and the quality statistics and ``metric`` facts
+   follow through the repairers' own
+   :func:`~repro.quality.transducers.patch_relation_stats`;
 4. **verify/fallback** — anything the snapshot cannot represent (a flipped
-   mapping selection, second-level fusion, stale state) falls back to the
-   full orchestrated pipeline, so the incremental path is an optimisation,
+   mapping selection, second-level fusion, stale state, a pipeline without
+   one of the components the patch stands in for) falls back to the full
+   orchestrated pipeline, so the incremental path is an optimisation,
    never a semantics change. ``validate.py`` checks exactly that.
 """
 
@@ -31,12 +38,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from repro.core.facts import Predicates, metric_fact, result_fact
+from repro.core.facts import Predicates, result_fact
 from repro.core.knowledge_base import KnowledgeBase
 from repro.core.registry import TransducerRegistry
 from repro.feedback.transducers import apply_row_feedback, incorrect_marks
-from repro.fusion.duplicates import DuplicateDetector
-from repro.fusion.fusion import DataFuser
 from repro.fusion.transducers import DUPLICATES_ARTIFACT_KEY
 from repro.incremental.delta import ChangeSet
 from repro.incremental.impact import DirtySet, cluster_map, resolve
@@ -50,10 +55,9 @@ from repro.mapping.execution import MappingExecutor
 from repro.mapping.transducers import result_relation_name, selected_mapping
 from repro.provenance.model import ProvenanceStore, provenance_store
 from repro.quality.cfd_learning import LearnedCFDs
-from repro.quality.repair import CFDRepairer
 from repro.quality.transducers import (
     CFD_ARTIFACT_KEY,
-    build_relation_stats,
+    patch_relation_stats,
     quality_context_token,
     quality_stats_stash,
 )
@@ -96,9 +100,9 @@ class IncrementalOutcome:
     clusters_refused: int = 0
     cells_rerepaired: int = 0
     rows_dropped: int = 0
-    #: Relations whose metric facts were refreshed from patched statistics
-    #: (empty when the quality stash was unavailable and the next full run
-    #: recomputes the metrics instead).
+    #: Relations whose statistics were patched and whose metric facts now
+    #: match them (empty when the quality stash was unavailable and the
+    #: next full run recomputes the metrics instead).
     metrics_patched: list[str] = field(default_factory=list)
     details: dict[str, Any] = field(default_factory=dict)
 
@@ -124,15 +128,17 @@ class IncrementalWrangler:
     def __init__(self, kb: KnowledgeBase, *, registry: TransducerRegistry):
         self._kb = kb
         self._registry = registry
-        self._fuser = self._component("data_fusion", "fuser", DataFuser)
-        self._detector = self._component("duplicate_detection", "detector", DuplicateDetector)
-        self._repairer = self._component("data_repair", "repairer", CFDRepairer)
+        self._fuser = self._component("data_fusion", "fuser")
+        self._detector = self._component("duplicate_detection", "detector")
+        self._repairer = self._component("data_repair", "repairer")
 
-    def _component(self, transducer_name: str, attribute: str, fallback):
-        """The pipeline's own component instance, so configs always agree."""
+    def _component(self, transducer_name: str, attribute: str):
+        """The pipeline's own component instance, so configs always agree
+        (None when the transducer is not registered: :meth:`apply` then
+        falls back)."""
         if transducer_name in self._registry:
             return getattr(self._registry.get(transducer_name), attribute)
-        return fallback()
+        return None
 
     # -- entry point ----------------------------------------------------------
 
@@ -142,14 +148,19 @@ class IncrementalWrangler:
         On any unsupported shape the outcome reports ``applied=False`` and
         the engine has (re-)armed the orchestrator so that a normal ``run``
         rebuilds the affected results — partial patches are then overwritten
-        wholesale by the full pipeline.
+        wholesale by the full pipeline. A pipeline without one of the
+        transducers whose work the patch performs (a deregistered repairer,
+        detector or fuser, say) always takes that path: the full run is the
+        reference the patch must equal.
 
         The phases mirror the orchestrated cascade's fixpoint order:
 
         A. patch the feedback-dirty rows against the *current* mapping (the
            cascade's first pipeline cycle — evaluation must observe exactly
            this lineage and table state);
-        B. run the evaluation-side transducers (assimilation, regeneration,
+        B. run the evaluation-side transducers the orchestrator would run
+           now: each registered one whose :meth:`~repro.core.transducer.
+           Transducer.can_run` holds (assimilation, matching, regeneration,
            cached re-scoring, re-selection);
         C. verify the selection survived; diff the re-generated winner's
            leaves against the snapshot;
@@ -161,6 +172,9 @@ class IncrementalWrangler:
         kb = self._kb
         state = incremental_state(kb, create=False)
         store = provenance_store(kb, create=False)
+        missing = [name for name in _PATCHED_TRANSDUCERS if name not in self._registry]
+        if missing:
+            return self._fallback(change_set, f"transducers not registered: {missing}")
         if state is None or not state.enabled:
             return self._fallback(change_set, "incremental state is disabled")
         if store is None or not store.enabled:
@@ -192,27 +206,11 @@ class IncrementalWrangler:
             if problem is not None:
                 return self._fallback(change_set, problem)
 
-        # Phase B — evaluation-side transducers. Which ones must run depends
-        # on what changed: feedback re-evaluates, source changes re-match.
-        needed: set[str] = set()
-        if feedback_set:
-            needed |= {
-                "mapping_evaluation",
-                "mapping_generation",
-                "mapping_quality",
-                "mapping_selection",
-            }
-        if change_set.source_deltas():
-            needed |= set(_EVALUATION_ORDER) - {"mapping_evaluation"}
-        evaluated = False
-        if needed:
-            missing = [n for n in needed if n not in self._registry]
-            if missing:
-                return self._fallback(change_set, f"missing transducers: {sorted(missing)}")
-            for name in _EVALUATION_ORDER:
-                if name in needed:
-                    self._registry.get(name).execute(kb)
-            evaluated = True
+        # Phase B — evaluation-side transducers, by the orchestrator's rule:
+        # feedback wakes assimilation, an append the matchers that read it.
+        for name in _EVALUATION_ORDER:
+            if name in self._registry and self._registry.get(name).can_run(kb):
+                self._registry.get(name).execute(kb)
 
         # Phase C — winner stability: a flipped selection means a different
         # query, which is a rebuild, not a patch. A same-id winner can still
@@ -226,22 +224,18 @@ class IncrementalWrangler:
         for relation, rel_state in state.relations.items():
             mapping = selected.get(relation)
             if mapping is None:
-                return self._fallback(
-                    change_set, f"no selected mapping for {relation}", evaluated=evaluated
-                )
+                return self._fallback(change_set, f"no selected mapping for {relation}")
             if rel_state.mapping_id != mapping.mapping_id:
                 return self._fallback(
                     change_set,
                     f"selected mapping changed for {relation}: "
                     f"{rel_state.mapping_id} -> {mapping.mapping_id}",
-                    evaluated=evaluated,
                 )
             changed = self._changed_leaves(rel_state.mapping, mapping)
             if changed is None:
                 return self._fallback(
                     change_set,
                     f"mapping {mapping.mapping_id} gained or lost leaves for {relation}",
-                    evaluated=evaluated,
                 )
             if changed:
                 revised_leaves[relation] = changed
@@ -262,7 +256,7 @@ class IncrementalWrangler:
                 revised_leaves=revised_leaves,
             )
             if problem is not None:
-                return self._fallback(change_set, problem, evaluated=evaluated)
+                return self._fallback(change_set, problem)
 
         # Phase D2 — metric facts: retract/add only the touched rows'
         # contributions to the quality sufficient statistics, then refresh
@@ -341,92 +335,50 @@ class IncrementalWrangler:
     ) -> bool:
         """Patch the quality sufficient statistics and refresh metric facts.
 
-        Result relations re-derive from the before/after row diff (remove
-        the old contribution, add the new); sources with appended rows add
-        the tail rows' contributions. Anything the accumulators cannot
-        represent — a changed data context or CFD set (the context token),
-        a row-count drift — rebuilds the affected entries from the patched
-        tables, which is still a table scan, not a pipeline run. Returns
-        False only when the session has no stash to patch (the next full
-        run recomputes the metrics from scratch).
+        Every rewritten relation goes through
+        :func:`~repro.quality.transducers.patch_relation_stats`: a result
+        with its before/after rows, a source with its rows before and after
+        the appends. A source that lost rows, and every entry when the
+        evaluation context changed (the context token: a new data context
+        or CFD set), is rebuilt from its patched table, which is still a
+        table scan, not a pipeline run. Returns False only when the session
+        has no stash to patch (the next full run recomputes the metrics
+        from scratch).
         """
         kb = self._kb
         stash = quality_stats_stash(kb, create=False)
         if stash is None or not stash.entries:
             return False  # metrics never computed — let the transducer run
-        contexts: dict = {}
-        refreshed: list[str] = []
-
-        def rebuild(relation: str) -> None:
-            stash.entries[relation].stats = build_relation_stats(kb, relation, contexts)
-
+        #: relation → (old rows, new rows); None rebuilds the entry.
+        rewrites: dict[str, tuple | None] = {}
         token = quality_context_token(kb)
         if stash.context_token != token:
-            # The evaluation context itself changed (CFD revision, new data
-            # context): every accumulator embeds it, so rebuild them all
-            # against the already-patched tables.
+            # Every accumulator embeds the evaluation context: rebuild them
+            # all against the already-patched tables.
             for relation in sorted(stash.entries):
                 if kb.has_table(relation):
-                    rebuild(relation)
-                    refreshed.append(relation)
+                    rewrites[relation] = None
                 else:
                     stash.entries.pop(relation)
             stash.context_token = token
         else:
-            appended_rows: dict[str, int] = {}
-            rebuild_sources: set[str] = set()
+            appended: dict[str, int] = {}
             for delta in change_set.source_deltas():
                 if delta.removed_indexes:
-                    rebuild_sources.add(delta.relation)
-                elif delta.appended:
-                    appended_rows[delta.relation] = (
-                        appended_rows.get(delta.relation, 0) + len(delta.appended)
-                    )
-            for relation in sorted(rebuild_sources):
-                if relation in stash.entries and kb.has_table(relation):
-                    rebuild(relation)
-                    refreshed.append(relation)
-            for relation, count in sorted(appended_rows.items()):
-                entry = stash.entries.get(relation)
-                if entry is None or not kb.has_table(relation):
-                    continue
-                rows = kb.get_table(relation).tuples()
-                if entry.stats.row_count + count != len(rows):
-                    rebuild(relation)  # stats drifted from the table: resync
+                    rewrites[delta.relation] = None
                 else:
-                    for values in rows[len(rows) - count:]:
-                        entry.stats.add_row(values)
-                refreshed.append(relation)
-            for relation, (old_rows, new_rows) in sorted(row_diffs.items()):
-                entry = stash.entries.get(relation)
-                if entry is None or not kb.has_table(relation):
-                    continue
-                if entry.stats.row_count != len(old_rows):
-                    rebuild(relation)  # stats drifted from the table: resync
-                else:
-                    stats = entry.stats
-                    for key, old in old_rows.items():
-                        new = new_rows.get(key)
-                        if new is None:
-                            stats.remove_row(old)
-                        elif new is not old and new != old:
-                            # Unchanged rows carry the same tuple object
-                            # through the patch; the identity check keeps
-                            # this scan at pointer-compare cost.
-                            stats.replace_row(old, new)
-                    for key, new in new_rows.items():
-                        if key not in old_rows:
-                            stats.add_row(new)
-                refreshed.append(relation)
-
-        for relation in dict.fromkeys(refreshed):
-            entry = stash.entries[relation]
-            # Retract/add: the patched subject's facts are replaced wholesale,
-            # exactly as the metric transducer would on a full re-run.
-            kb.retract_where(Predicates.METRIC, p0=entry.subject_kind, p1=relation)
-            for criterion, value in entry.stats.finalise().as_dict().items():
-                kb.assert_tuple(metric_fact(entry.subject_kind, relation, criterion, value))
-        outcome.metrics_patched = list(dict.fromkeys(refreshed))
+                    appended[delta.relation] = appended.get(delta.relation, 0) + len(delta.appended)
+            for relation, count in appended.items():
+                if relation not in rewrites and kb.has_table(relation):
+                    rows = kb.get_table(relation).tuples()
+                    rewrites[relation] = (rows[: len(rows) - count], rows)
+            for relation, (old_rows, new_rows) in row_diffs.items():
+                rewrites[relation] = (old_rows.values(), new_rows.values())
+        contexts: dict = {}
+        for relation, rewrite in sorted(rewrites.items()):
+            old_rows, new_rows = rewrite or (None, ())
+            if patch_relation_stats(kb, relation, old_rows, new_rows, contexts):
+                outcome.metrics_patched.append(relation)
         # Stamped after the assertions: the stash exactly reflects the
         # patched tables as the engine hands back control, which is what
         # lets Wrangler.evaluate serve the report without a rescan.
@@ -435,21 +387,17 @@ class IncrementalWrangler:
 
     # -- fallback -------------------------------------------------------------
 
-    def _fallback(
-        self, change_set: ChangeSet, reason: str, *, evaluated: bool = False
-    ) -> IncrementalOutcome:
+    def _fallback(self, change_set: ChangeSet, reason: str) -> IncrementalOutcome:
         """Report non-application and arm the orchestrator for a full pass.
 
-        When feedback was already assimilated (stage 1 ran), the selection
-        facts were re-asserted and materialisation is runnable. Otherwise a
-        re-selection nudge makes it runnable, so the caller's ``run()``
-        rebuilds the results rather than quiescing over a half-patched KB.
+        Re-asserting the selection facts makes materialisation runnable, so
+        the caller's ``run()`` rebuilds the results rather than quiescing
+        over a half-patched KB.
         """
-        if not evaluated:
-            kb = self._kb
-            for mapping_id, rank in list(kb.facts(Predicates.MAPPING_SELECTED)):
-                kb.retract_fact(Predicates.MAPPING_SELECTED, mapping_id, rank)
-                kb.assert_fact(Predicates.MAPPING_SELECTED, mapping_id, rank)
+        kb = self._kb
+        for mapping_id, rank in list(kb.facts(Predicates.MAPPING_SELECTED)):
+            kb.retract_fact(Predicates.MAPPING_SELECTED, mapping_id, rank)
+            kb.assert_fact(Predicates.MAPPING_SELECTED, mapping_id, rank)
         return IncrementalOutcome(
             applied=False, reason=reason, details={"change_set": change_set.describe()}
         )
@@ -511,31 +459,34 @@ class IncrementalWrangler:
         # (b) per-row pass 1: base → repair → feedback (the pre-fusion rows).
         feedback_marks = incorrect_marks(kb.facts(Predicates.FEEDBACK)).get(relation, {})
         learned: LearnedCFDs | None = kb.get_artifact(CFD_ARTIFACT_KEY)
-        recompute_order = [key for key in rel_state.order if key in recompute]
-        pass1, repaired_cells, dropped = self._derive_prefusion(
-            relation, rel_state, recompute_order, learned, feedback_marks, store
+        self._derive_prefusion(
+            relation, rel_state, recompute, learned, feedback_marks, store, outcome
         )
-        outcome.rows_recomputed += len(recompute_order)
-        outcome.cells_rerepaired += repaired_cells
-        outcome.rows_dropped += len(dropped)
-        for key in recompute_order:
-            if key in dropped:
-                rel_state.prefusion.pop(key, None)
-            else:
-                rel_state.prefusion[key] = pass1[key]
 
         # (c) re-score duplicate pairs involving the recomputed rows.
         touched = recompute | removed
         self._repair_pairs(rel_state, touched)
 
         # (d) affected final rows: every cluster (old or new) touching the
-        # recomputed keys, plus recomputed singletons.
+        # recomputed keys, plus recomputed singletons. A member drawn in
+        # from outside ``recompute`` had its lineage folded into a survivor
+        # by an earlier merge; its pass 1 re-runs (same row, fresh lineage)
+        # so the re-fused cells keep its witnesses.
         new_clusters = cluster_map(rel_state.pairs)
         affected: set[str] = set(recompute)
         for key in recompute | removed:
             affected |= old_clusters.get(key, frozenset())
             affected |= new_clusters.get(key, frozenset())
         affected &= set(rel_state.base)
+        self._derive_prefusion(
+            relation,
+            rel_state,
+            {key for key in affected - recompute if key in rel_state.prefusion},
+            learned,
+            feedback_marks,
+            store,
+            outcome,
+        )
 
         # The pipeline runs its repair/feedback passes once per
         # materialisation — and once more *only when fusion rewrites the
@@ -564,10 +515,13 @@ class IncrementalWrangler:
         outcome.cells_rerepaired += pass2_cells
         outcome.rows_dropped += len(pass2_dropped)
 
-        # (f) rebuild the emitted row order and write the table.
+        # (f) rebuild the emitted row order and write the table. Rows kept
+        # from the current table are coerced already: only the others (the
+        # re-derived ones) go through the table's coercion.
         order_index = {key: position for position, key in enumerate(rel_state.order)}
         emitted: list[str] = []
         rows: list[tuple] = []
+        uncoerced: list[int] = []
         for key in rel_state.order:
             if key not in rel_state.prefusion:
                 continue  # dropped pre-fusion (tuple feedback, removed row)
@@ -586,10 +540,15 @@ class IncrementalWrangler:
                 # Newly appended / newly released from a cluster but not in
                 # the affected set — derive directly from its pre-fusion row.
                 row = rel_state.prefusion[key]
+            if row is not current.get(key):
+                uncoerced.append(len(rows))
             emitted.append(key)
             rows.append(row)
+        coerced = Table(schema, [rows[position] for position in uncoerced]).tuples()
+        for position, row in zip(uncoerced, coerced):
+            rows[position] = row
 
-        table = Table(schema, rows)
+        table = Table(schema, rows, coerce=False, validate=False)
         kb.update_table(table)
         rel_state.phase = PHASE_FUSED if rel_state.pairs else PHASE_PREFUSION
 
@@ -712,16 +671,21 @@ class IncrementalWrangler:
         self,
         relation: str,
         rel_state: RelationState,
-        keys: list[str],
+        keys: set[str],
         learned: LearnedCFDs | None,
         feedback_marks: Mapping[str, set[str]],
         store: ProvenanceStore,
-    ) -> tuple[dict[str, tuple], int, set[str]]:
-        """Pass 1 for the given keys: base lineage reset → repair → feedback."""
+        outcome: IncrementalOutcome,
+    ) -> None:
+        """Pass 1 for the given keys: base lineage reset → repair → feedback,
+        written into the pre-fusion snapshot."""
+        if not keys:
+            return
+        ordered = [key for key in rel_state.order if key in keys]
         # Reset lineage to the materialisation-time annotation: repair and
         # fusion overrides are re-derived below, replacing (not appending to)
         # whatever previous rounds recorded.
-        for key in keys:
+        for key in ordered:
             base = rel_state.base_lineage.get(key)
             if base is not None:
                 store.record_tuple(
@@ -732,12 +696,19 @@ class IncrementalWrangler:
                     mapping_id=base.mapping_id,
                     cell_sources=base.cell_sources,
                 )
-        rows = [rel_state.base[key] for key in keys]
+        rows = [rel_state.base[key] for key in ordered]
         repaired, cells = self._repair_rows(relation, rel_state.schema, rows, learned, store)
         derived, dropped = self._feedback_pass(
-            relation, rel_state.schema, keys, repaired, feedback_marks, store
+            relation, rel_state.schema, ordered, repaired, feedback_marks, store
         )
-        return derived, cells, dropped
+        outcome.rows_recomputed += len(ordered)
+        outcome.cells_rerepaired += cells
+        outcome.rows_dropped += len(dropped)
+        for key in ordered:
+            if key in dropped:
+                rel_state.prefusion.pop(key, None)
+            else:
+                rel_state.prefusion[key] = derived[key]
 
     def _repair_rows(
         self,

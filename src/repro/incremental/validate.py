@@ -12,9 +12,11 @@ match scores agree.
 
 Two more contracts ride along: a session checkpointed and restored before
 every round must equal one that never stopped (:func:`check_restored`), and
-appended source rows patched incrementally must equal a full re-run, with
-every candidate's cached ``mapping_score`` facts equal to a from-scratch
-re-score (:func:`check_appends`).
+appended source rows patched incrementally, each append followed by a
+feedback round, must equal a full re-run, with every candidate's cached
+``mapping_score`` facts equal to a from-scratch re-score
+(:func:`check_appends`). Every contract also compares the two sessions'
+``metric`` facts and the result's lineage.
 
 Used three ways:
 
@@ -66,8 +68,11 @@ class RoundCheck:
     selection_equal: bool
     matches_equal: bool
     #: Whether the patched metric statistics finalise to exactly the report
-    #: a full recomputation over the current tables produces (both sessions).
+    #: a full recomputation over the current tables produces (both sessions),
+    #: and both sessions hold the same ``metric`` facts.
     metrics_equal: bool = True
+    #: Whether both sessions record the same lineage for the result's tuples.
+    lineage_equal: bool = True
     #: Whether both sessions' ``mapping_score`` facts equal a from-scratch
     #: re-score (checked by the append contract).
     scores_equal: bool = True
@@ -86,6 +91,7 @@ class RoundCheck:
             and self.selection_equal
             and self.matches_equal
             and self.metrics_equal
+            and self.lineage_equal
             and self.scores_equal
         )
 
@@ -163,12 +169,14 @@ def _compare_reports(left, right, where: str) -> str:
 
 
 def _compare_metrics(incremental_session, full_session) -> str:
-    """The incremental-metrics equality contract, checked three ways.
+    """The incremental-metrics equality contract, checked four ways.
 
     The incremental session's maintained statistics must finalise to the
     same report as a forced full recomputation over its own result — and
     both must equal the full session's recomputation, so the maintained
     numbers cannot silently drift from what a from-scratch pipeline knows.
+    The two sessions' ``metric`` facts, which the selection transducers
+    read, must be equal too.
     """
     fast = incremental_session.evaluate()
     slow = incremental_session.evaluate(use_stats=False)
@@ -176,7 +184,30 @@ def _compare_metrics(incremental_session, full_session) -> str:
     mismatch = _compare_reports(fast, slow, "incremental stats vs rescan")
     if mismatch:
         return mismatch
-    return _compare_reports(slow, full, "incremental vs full session")
+    mismatch = _compare_reports(slow, full, "incremental vs full session")
+    if mismatch:
+        return mismatch
+    left = set(incremental_session.kb.facts(Predicates.METRIC))
+    right = set(full_session.kb.facts(Predicates.METRIC))
+    if left != right:
+        return f"metric facts differ: {sorted(left - right)[:4]} vs {sorted(right - left)[:4]}"
+    return ""
+
+
+def _compare_lineage(left, right) -> str:
+    """Empty string when both sessions record the same lineage for every
+    tuple of the result."""
+    relation = left.result_name()
+    left_lineage = dict(left.provenance.iter_tuples(relation))
+    right_lineage = dict(right.provenance.iter_tuples(relation))
+    differing = sorted(
+        key
+        for key in left_lineage.keys() | right_lineage.keys()
+        if left_lineage.get(key) != right_lineage.get(key)
+    )
+    if not differing:
+        return ""
+    return f"lineage differs for {len(differing)} tuples, first {differing[0]}"
 
 
 def _compare_scores(wrangler) -> str:
@@ -233,6 +264,7 @@ def _round_check(
     if not mismatch and fingerprints is not None and fingerprints[0] != fingerprints[1]:
         mismatch = f"fingerprints differ: {fingerprints[0]} vs {fingerprints[1]}"
     metrics_mismatch = _compare_metrics(left, right)
+    lineage_mismatch = _compare_lineage(left, right)
     scores_mismatch = (_compare_scores(left) or _compare_scores(right)) if scores else ""
     left_selected = left.selected_mapping()
     right_selected = right.selected_mapping()
@@ -250,12 +282,13 @@ def _round_check(
         selection_equal=left_id == right_id,
         matches_equal=left_matches == right_matches,
         metrics_equal=not metrics_mismatch,
+        lineage_equal=not lineage_mismatch,
         scores_equal=not scores_mismatch,
         patched=applied,
         fallback_reason="" if applied else str(outcome.get("reason", "")),
         seconds_incremental=seconds[0],
         seconds_full=seconds[1],
-        mismatch=mismatch or metrics_mismatch or scores_mismatch,
+        mismatch=mismatch or metrics_mismatch or lineage_mismatch or scores_mismatch,
     )
 
 
@@ -417,11 +450,14 @@ def check_appends(
     are held back, and both sessions are prepared without them. Each round
     then appends the next ``rows`` held-back rows of every source, one
     append per source, with ``incremental=True`` on one session and
-    ``incremental=False`` on the other. After each round both sessions must
-    hold row-for-row equal results, the same selected mapping, the same
-    match facts and exactly equal metrics, and each session's
-    ``mapping_score`` facts must equal a from-scratch re-score: candidate
-    scoring patches its per-leaf statistics on these appends.
+    ``incremental=False`` on the other, and then runs one feedback round:
+    ``rows`` annotations simulated on the full session's result, asserted
+    into both sessions the same two ways. After each step both sessions
+    must hold row-for-row equal results, the same selected mapping, the
+    same match facts, exactly equal metrics and the same lineage, and each
+    session's ``mapping_score`` facts must equal a from-scratch re-score:
+    candidate scoring patches its per-leaf statistics on these appends. A
+    round is ok only if the checks after both steps hold.
     """
     if scenario is None:
         scenario = SynthConfig()
@@ -450,6 +486,7 @@ def check_appends(
         }
         if not blocks:
             break
+        appended = sum(len(block) for block in blocks.values())
         reasons = []
         started = time.perf_counter()
         for relation, block in blocks.items():
@@ -466,17 +503,55 @@ def check_appends(
             full_session._append_source_rows(relation, block, incremental=False, evaluate=False)
         full_elapsed = time.perf_counter() - started
 
-        report.rounds.append(
-            _round_check(
-                round_number,
-                sum(len(block) for block in blocks.values()),
-                incremental_session,
-                full_session,
-                {"applied": not reasons, "reason": "; ".join(reasons)},
-                (incremental_elapsed, full_elapsed),
-                scores=True,
-            )
+        check = _round_check(
+            round_number,
+            appended,
+            incremental_session,
+            full_session,
+            {"applied": not reasons, "reason": "; ".join(reasons)},
+            (incremental_elapsed, full_elapsed),
+            scores=True,
         )
+        if not check.ok:
+            check.mismatch = f"after the append: {check.mismatch}"
+            report.rounds.append(check)
+            continue
+
+        annotations = simulate_feedback(
+            full_session.result(),
+            scenario.ground_truth,
+            tuple(scenario.evaluation_key),
+            budget=rows,
+            seed=round_number,
+            strategy="targeted",
+            id_prefix=f"a{round_number}",
+        )
+        started = time.perf_counter()
+        result = incremental_session._apply_feedback(
+            annotations, incremental=True, evaluate=False
+        )
+        incremental_elapsed += time.perf_counter() - started
+        outcome = result.details.get("incremental", {})
+        if not outcome.get("applied"):
+            reasons.append(f"feedback: {outcome.get('reason', '')}")
+
+        started = time.perf_counter()
+        full_session.add_feedback(annotations)
+        full_session.run("feedback", evaluate=False)
+        full_elapsed += time.perf_counter() - started
+
+        check = _round_check(
+            round_number,
+            appended,
+            incremental_session,
+            full_session,
+            {"applied": not reasons, "reason": "; ".join(reasons)},
+            (incremental_elapsed, full_elapsed),
+            scores=True,
+        )
+        if check.mismatch:
+            check.mismatch = f"after the feedback round: {check.mismatch}"
+        report.rounds.append(check)
     return report
 
 

@@ -7,14 +7,17 @@ knowledge base", which in turn enables source/mapping selection.
 
 The metric transducer evaluates through the sufficient-statistic layer
 (:mod:`repro.quality.stats`) and stashes the per-relation accumulators as
-the ``quality_stats`` artifact: the incremental engine patches them (and
-the ``metric`` facts they finalise into) row-by-row when it patches a
-result, instead of rescanning every table per feedback round.
+the ``quality_stats`` artifact. Whatever rewrites a scored table afterwards
+— the two repairers, the incremental engine — passes the old and new rows
+to :func:`patch_relation_stats`, which patches the accumulators and the
+``metric`` facts they finalise into instead of rescanning the table.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from typing import Collection, Iterable
 
 from repro.core.facts import (
     Predicates,
@@ -40,6 +43,7 @@ __all__ = [
     "quality_stats_stash",
     "metric_context",
     "build_relation_stats",
+    "patch_relation_stats",
     "CFDLearningTransducer",
     "QualityMetricTransducer",
     "DataRepairTransducer",
@@ -187,6 +191,53 @@ def build_relation_stats(
     return contexts[target].build(kb.get_table(relation))
 
 
+def patch_relation_stats(
+    kb: KnowledgeBase,
+    relation: str,
+    old_rows: Collection[tuple] | None,
+    new_rows: Iterable[tuple] = (),
+    contexts: dict | None = None,
+) -> bool:
+    """Keep ``relation``'s stash entry and ``metric`` facts in step with a rewrite.
+
+    The rewrite replaced ``old_rows`` by ``new_rows`` (the table is already
+    updated): rows only the old side holds leave the accumulators, rows only
+    the new side holds join them, compared as multisets. When the entry's
+    row count does not match ``old_rows``, or ``old_rows`` is None, the
+    entry is rebuilt from the current table with
+    :func:`build_relation_stats` instead. The relation's ``metric`` facts
+    are re-asserted only when their values changed, so an unchanged report
+    wakes no transducer. Returns False when the relation has no entry (the
+    metric transducer scores it when it next runs).
+    """
+    stash = quality_stats_stash(kb, create=False)
+    entry = stash.get(relation) if stash is not None else None
+    if entry is None:
+        return False
+    if old_rows is None or entry.stats.row_count != len(old_rows):
+        entry.stats = build_relation_stats(kb, relation, contexts)
+    else:
+        changes = Counter(old_rows)
+        changes.subtract(new_rows)
+        for row, count in changes.items():
+            for _ in range(count):
+                entry.stats.remove_row(row)
+            for _ in range(-count):
+                entry.stats.add_row(row)
+    facts = [
+        metric_fact(entry.subject_kind, relation, criterion, value)
+        for criterion, value in entry.stats.finalise().as_dict().items()
+    ]
+    current = {
+        row for row in kb.facts(Predicates.METRIC) if row[:2] == (entry.subject_kind, relation)
+    }
+    if current != {values for _predicate, values in facts}:
+        kb.retract_where(Predicates.METRIC, p0=entry.subject_kind, p1=relation)
+        for fact in facts:
+            kb.assert_tuple(fact)
+    return True
+
+
 class CFDLearningTransducer(Transducer):
     """Learns CFDs from data-context tables bound to the target schema."""
 
@@ -240,14 +291,15 @@ class QualityMetricTransducer(Transducer):
     asserted as ``metric`` facts on sources and results, which is what the
     selection transducers consume. The sufficient statistics behind every
     report are stashed (``quality_stats`` artifact) so later revisions can
-    patch the metrics instead of rescanning.
+    patch the metrics instead of rescanning: a repair rewrite does so itself
+    (:func:`patch_relation_stats`), so ``repair`` facts are not watched.
     """
 
     name = "quality_metrics"
     activity = Activity.QUALITY
     priority = 20
     input_dependencies = ("dataset(S, R, N)",)
-    watch_predicates = ("cfd", "data_context", "result", "repair")
+    watch_predicates = ("cfd", "data_context", "result")
 
     def run(self, kb: KnowledgeBase) -> TransducerResult:
         contexts: dict = {}
@@ -310,7 +362,6 @@ class DataRepairTransducer(Transducer):
         total_actions = 0
         store = provenance_store(kb)
         state = incremental_state(kb, create=False)
-        stash = quality_stats_stash(kb, create=False)
         for relation, _mapping_id, _rows in kb.facts(Predicates.RESULT):
             if not kb.has_table(relation):
                 continue
@@ -323,7 +374,7 @@ class DataRepairTransducer(Transducer):
             kb.update_table(result.table)
             if state is not None:
                 state.observe_table_updated(result.table)
-            self._patch_stash(stash, relation, table, result.table)
+            patch_relation_stats(kb, relation, table.tuples(), result.table.tuples())
             repaired_tables.append(relation)
             total_actions += len(result.actions)
             for action in result.actions:
@@ -342,26 +393,3 @@ class DataRepairTransducer(Transducer):
             notes=f"repaired {total_actions} cells in {len(repaired_tables)} tables",
             details={"actions": total_actions},
         )
-
-    @staticmethod
-    def _patch_stash(
-        stash: QualityStatsStash | None, relation: str, before, after
-    ) -> None:
-        """Keep the quality statistics tracking a repair rewrite.
-
-        A re-repair of an already-repaired table asserts no new ``repair``
-        facts, so the metric transducer's watches never fire for it — the
-        accumulators would silently stay on the pre-repair rows. Entries
-        that already drifted are dropped instead (rebuilt on next use).
-        """
-        if stash is None:
-            return
-        entry = stash.entries.get(relation)
-        if entry is None:
-            return
-        if entry.stats.row_count != len(before):
-            stash.entries.pop(relation, None)
-            return
-        for old, new in zip(before.tuples(), after.tuples()):
-            if old != new:
-                entry.stats.replace_row(old, new)

@@ -215,6 +215,9 @@ class TestCandidateGeneratorExact:
         touching = data.draw(st.sets(st.integers(min_value=0, max_value=max(len(rows) - 1, 0))))
         detector = DuplicateDetector(config)
         candidates = list(detector.candidates(table, touching=touching))
+        assert candidates == [
+            (i, j) for i, j in detector.candidates(table) if i in touching or j in touching
+        ]
         assert len(set(candidates)) == len(candidates)
         assert all(i < j and (i in touching or j in touching) for i, j in candidates)
         qualifying = {

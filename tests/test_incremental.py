@@ -321,6 +321,103 @@ class TestStructuralDeltas:
             assert outcome["rows_rematerialised"] >= 3
 
 
+def held_back(config: SynthConfig, rows: int):
+    """A scenario with the last ``rows`` rows of every source held back."""
+    scenario = generate_synthetic(config)
+    held: dict[str, list[tuple]] = {}
+    sources = []
+    for table in scenario.sources:
+        kept = table.tuples()
+        held[table.name] = kept[len(kept) - rows:]
+        sources.append(table.replace_rows(kept[: len(kept) - rows]))
+    return dataclasses.replace(scenario, sources=sources), held
+
+
+class TestAppendsAfterFeedback:
+    """An append wakes only the transducers whose inputs it changed: the
+    schema matcher must not re-assert its pre-feedback match scores."""
+
+    def test_append_after_feedback_matches_full_rerun(self):
+        scenario, held = held_back(
+            SynthConfig(family="shipment_tracking", entities=60, seed=0), rows=5
+        )
+        incremental = _prepare(scenario, WranglerConfig())
+        full = _prepare(scenario, WranglerConfig())
+        annotations = simulate_feedback(
+            full.result(), scenario.ground_truth, scenario.evaluation_key,
+            budget=6, seed=1, strategy="targeted",
+        )
+        assert feedback(incremental, annotations, incremental=True).incremental["applied"]
+        full.add_feedback(annotations)
+        full.run("feedback")
+        for relation, rows in sorted(held.items()):
+            result = append(incremental, relation, rows, incremental=True)
+            assert result.incremental["applied"], result.incremental["reason"]
+            append(full, relation, rows, incremental=False)
+            assert tables_equal(incremental.result(), full.result())
+            assert sorted(incremental.kb.facts(Predicates.MATCH)) == sorted(
+                full.kb.facts(Predicates.MATCH)
+            )
+
+
+class TestDeregisteredComponents:
+    """A pipeline without a component the patch stands in for is patched by
+    nobody: the engine falls back, and the full run is the reference."""
+
+    @staticmethod
+    def prepare(scenario, dropped):
+        registry = build_default_registry()
+        registry.deregister(dropped)
+        wrangler = Wrangler(registry=registry)
+        scenario.install(wrangler)
+        wrangler.run("bootstrap", evaluate=False)
+        wrangler.add_reference_data(scenario.reference)
+        if scenario.master is not None:
+            wrangler.add_master_data(scenario.master)
+        wrangler.run("data_context", evaluate=False)
+        return wrangler
+
+    @pytest.mark.parametrize("dropped", ["data_repair", "data_fusion"])
+    @pytest.mark.parametrize("family", ["product_catalog", "real_estate"])
+    def test_feedback_rounds_equal_full_runs(self, family, dropped):
+        scenario = generate_synthetic(SynthConfig(family=family, entities=40, seed=0))
+        incremental, full = self.prepare(scenario, dropped), self.prepare(scenario, dropped)
+        for round_number in (1, 2):
+            annotations = simulate_feedback(
+                full.result(), scenario.ground_truth, scenario.evaluation_key,
+                budget=8, seed=round_number, strategy="targeted", id_prefix=f"d{round_number}",
+            )
+            outcome = feedback(incremental, annotations, incremental=True).incremental
+            full.add_feedback(annotations)
+            full.run("feedback")
+            assert tables_equal(incremental.result(), full.result())
+            assert not outcome["applied"] and dropped in outcome["reason"]
+
+
+class TestRefusedClusterLineage:
+    def test_appended_duplicate_keeps_member_lineage(self):
+        # The appended rows pair with members of existing clusters, whose
+        # lineage an earlier merge folded into the survivor; the re-fused
+        # survivors must still carry every member's witnesses.
+        scenario, held = held_back(
+            SynthConfig(family="product_catalog", entities=30, seed=0), rows=5
+        )
+        incremental = _prepare(scenario, WranglerConfig())
+        full = _prepare(scenario, WranglerConfig())
+        refused = 0
+        for relation, rows in sorted(held.items()):
+            result = append(incremental, relation, rows, incremental=True, evaluate=False)
+            assert result.incremental["applied"], result.incremental["reason"]
+            refused += result.incremental["clusters_refused"]
+            append(full, relation, rows, incremental=False, evaluate=False)
+        assert refused > 0
+        assert tables_equal(incremental.result(), full.result())
+        relation = incremental.result_name()
+        assert dict(incremental.provenance.iter_tuples(relation)) == dict(
+            full.provenance.iter_tuples(relation)
+        )
+
+
 class TestLookupAppendJoinShapes:
     """A new lookup row that matches driving rows which had no partner, under
     the generated join conditions and under reversed (lookup-first) ones:

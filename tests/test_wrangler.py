@@ -237,6 +237,25 @@ class TestEvaluationContext:
         assert wrangler.result_name() in outcome["metrics_patched"]
         self.assert_scored_alike(wrangler)
 
+    def test_metric_facts_follow_a_rerepaired_result(self):
+        # The data-context phase re-materialises the result, scores it and
+        # then repairs it again, rewriting cells without a new repair fact:
+        # the repair itself must bring the metric facts along.
+        scenario = generate_synthetic(
+            SynthConfig(family="shipment_tracking", entities=300, seed=0)
+        )
+        self.assert_scored_alike(_prepare(scenario, WranglerConfig()))
+
+    def test_metric_facts_follow_a_full_feedback_round(self):
+        scenario = generate_synthetic(SynthConfig(family="sensor_log", entities=60, seed=0))
+        wrangler = _prepare(scenario, WranglerConfig())
+        wrangler.add_feedback(simulate_feedback(
+            wrangler.result(), scenario.ground_truth, scenario.evaluation_key,
+            budget=10, seed=1, strategy="targeted",
+        ))
+        wrangler.run("feedback", evaluate=False)
+        self.assert_scored_alike(wrangler)
+
     @pytest.mark.parametrize("family", family_names())
     def test_ground_truth_evaluation_scans_against_the_ground_truth(self, family):
         scenario = generate_synthetic(SynthConfig(family=family, entities=60, seed=2))
