@@ -22,7 +22,7 @@ import pytest
 from benchmarks.conftest import print_table
 from repro import ScenarioConfig, Wrangler, generate_scenario
 from repro.baselines import default_real_estate_etl
-from repro.quality import evaluate_quality
+from repro.quality import build_stats
 
 SIZES = (100, 300, 600)
 
@@ -37,9 +37,9 @@ def run_comparison(properties: int):
     started = time.perf_counter()
     etl_result = etl.run({t.name: t for t in scenario.sources()}, scenario.target)
     etl_seconds = time.perf_counter() - started
-    etl_quality = evaluate_quality(etl_result, reference=scenario.ground_truth,
-                                   reference_key=truth_key,
-                                   master=scenario.ground_truth, master_key=truth_key)
+    etl_quality = build_stats(etl_result, reference=scenario.ground_truth,
+                              reference_key=truth_key,
+                              master=scenario.ground_truth, master_key=truth_key).finalise()
 
     # --- VADA bootstrap -------------------------------------------------------
     wrangler = Wrangler()

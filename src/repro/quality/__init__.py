@@ -1,23 +1,12 @@
 """Data quality: profiling, CFDs, metrics and repair."""
 
-from repro.quality.cfd import CFD, WILDCARD, Violation, find_violations
+from repro.quality.cfd import CFD, WILDCARD, CFDCheck
 from repro.quality.cfd_learning import CFDLearner, CFDLearnerConfig, LearnedCFDs, build_witness
-from repro.quality.metrics import (
-    QualityReport,
-    accuracy_against_reference,
-    attribute_accuracy,
-    attribute_completeness,
-    consistency,
-    evaluate_quality,
-    relevance,
-    table_completeness,
-)
 from repro.quality.profiling import (
     ColumnProfile,
     candidate_keys,
     discover_functional_dependencies,
     functional_dependency_confidence,
-    inclusion_dependency_coverage,
     profile_column,
     profile_table,
     value_overlap,
@@ -28,6 +17,7 @@ from repro.quality.stats import (
     AnswerAgreementStats,
     CompletenessStats,
     ConsistencyStats,
+    QualityReport,
     QualityStats,
     RelevanceStats,
     build_stats,
@@ -42,8 +32,7 @@ from repro.quality.transducers import (
 __all__ = [
     "CFD",
     "WILDCARD",
-    "Violation",
-    "find_violations",
+    "CFDCheck",
     "CFDLearner",
     "CFDLearnerConfig",
     "LearnedCFDs",
@@ -52,7 +41,6 @@ __all__ = [
     "RepairAction",
     "RepairResult",
     "QualityReport",
-    "evaluate_quality",
     "QualityStats",
     "CompletenessStats",
     "AccuracyStats",
@@ -60,19 +48,12 @@ __all__ = [
     "RelevanceStats",
     "AnswerAgreementStats",
     "build_stats",
-    "attribute_completeness",
-    "table_completeness",
-    "accuracy_against_reference",
-    "attribute_accuracy",
-    "consistency",
-    "relevance",
     "ColumnProfile",
     "profile_column",
     "profile_table",
     "candidate_keys",
     "functional_dependency_confidence",
     "discover_functional_dependencies",
-    "inclusion_dependency_coverage",
     "value_overlap",
     "CFDLearningTransducer",
     "QualityMetricTransducer",

@@ -10,20 +10,24 @@ results.
 The pattern tuple maps attributes to either the wildcard ``"_"`` or a
 constant. Attributes of the LHS with constants restrict applicability;
 an RHS constant prescribes the value, an RHS wildcard requires agreement
-with the dependency's witness (handled by the repair module via reference
-lookups).
+with the dependency's witness (the reference value for the row's LHS
+values, built by :mod:`repro.quality.cfd_learning`).
+
+:class:`CFDCheck` is the one evaluation of a CFD: bound to a row layout, it
+tells whether a row tuple is in scope, what its RHS should be and whether
+it satisfies the dependency. Consistency statistics count with it and the
+repairer rewrites with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping, Sequence
 
 from repro.relational.keys import normalise_key_tuple
-from repro.relational.table import Table
 from repro.relational.types import is_null
 
-__all__ = ["WILDCARD", "CFD", "Violation", "find_violations"]
+__all__ = ["WILDCARD", "CFD", "CFDCheck"]
 
 #: Pattern wildcard.
 WILDCARD = "_"
@@ -72,73 +76,6 @@ class CFD:
         pattern.update(dict(self.lhs_pattern))
         return pattern
 
-    def applies_to(self, row: Mapping[str, Any]) -> bool:
-        """Whether the pattern tuple's LHS constants match ``row``.
-
-        Rows with NULL in any LHS attribute are out of scope (they cannot
-        witness or violate the dependency).
-        """
-        for attribute in self.lhs:
-            if attribute not in row or is_null(row[attribute]):
-                return False
-        for attribute, constant in self.lhs_pattern:
-            if constant == WILDCARD:
-                continue
-            if not _values_equal(row[attribute], constant):
-                return False
-        return True
-
-    def lhs_values(self, row: Mapping[str, Any]) -> tuple[Any, ...]:
-        """The row's LHS value combination, normalised for witness lookups."""
-        return normalise_key_tuple(row[attribute] for attribute in self.lhs)
-
-    def check_row(
-        self, row: Mapping[str, Any], *, witness: Mapping[tuple, Any] | None = None
-    ) -> bool:
-        """Whether ``row`` satisfies this CFD.
-
-        For constant CFDs the RHS must equal the prescribed constant. For
-        variable CFDs a ``witness`` index (LHS values → expected RHS value,
-        usually built from reference data) decides; without a witness the
-        row is trivially satisfied.
-        """
-        if not self.applies_to(row):
-            return True
-        return self.check_applicable(row, witness=witness)
-
-    def check_applicable(
-        self, row: Mapping[str, Any], *, witness: Mapping[tuple, Any] | None = None
-    ) -> bool:
-        """:meth:`check_row` for a row already known to pass :meth:`applies_to`.
-
-        Lets single-pass consumers (the consistency sufficient statistics)
-        count checkable cells and violations without evaluating the pattern
-        match twice per (row, CFD) pair.
-        """
-        value = row.get(self.rhs)
-        if self.is_constant:
-            return _values_equal(value, self.rhs_pattern)
-        if witness is None:
-            return True
-        expected = witness.get(self.lhs_values(row))
-        if expected is None:
-            return True
-        if is_null(value):
-            return False
-        return _values_equal(value, expected)
-
-    def expected_value(
-        self, row: Mapping[str, Any], *, witness: Mapping[tuple, Any] | None = None
-    ) -> Any:
-        """The value the RHS *should* have for ``row`` (None when unknown)."""
-        if not self.applies_to(row):
-            return None
-        if self.is_constant:
-            return self.rhs_pattern
-        if witness is None:
-            return None
-        return witness.get(self.lhs_values(row))
-
     def describe(self) -> str:
         """Human-readable rendering, e.g. ``([postcode] -> street, (_ || _))``."""
         lhs_pattern = self.lhs_pattern_dict()
@@ -153,54 +90,71 @@ class CFD:
         return self.cfd_id, self.relation, lhs_text, rhs_text, self.support
 
 
-@dataclass(frozen=True)
-class Violation:
-    """One row failing one CFD."""
+class CFDCheck:
+    """One CFD evaluated over row tuples laid out as ``names``.
 
-    cfd_id: str
-    relation: str
-    row_index: int
-    attribute: str
-    actual: Any
-    expected: Any
-
-    def __str__(self) -> str:
-        return (
-            f"{self.relation}[{self.row_index}].{self.attribute}: "
-            f"{self.actual!r} (expected {self.expected!r}, cfd {self.cfd_id})"
-        )
-
-
-def find_violations(
-    table: Table,
-    cfds: Iterable[CFD],
-    *,
-    witnesses: Mapping[str, Mapping[tuple, Any]] | None = None,
-) -> list[Violation]:
-    """All violations of ``cfds`` in ``table``.
-
-    ``witnesses`` maps CFD ids to witness indexes (LHS values → expected RHS
-    value) for variable CFDs; they are typically built from reference data
-    by :mod:`repro.quality.cfd_learning`.
+    Attribute positions and the LHS pattern constants are resolved once per
+    (CFD, layout). A row is in scope when the layout has every LHS
+    attribute, none of those values is NULL and each LHS constant matches.
+    :meth:`expected` and :meth:`satisfied` take a row already in scope.
     """
-    witnesses = witnesses or {}
-    violations: list[Violation] = []
-    for cfd in cfds:
-        witness = witnesses.get(cfd.cfd_id)
-        for index, row in enumerate(table.rows()):
-            if cfd.check_row(row, witness=witness):
-                continue
-            violations.append(
-                Violation(
-                    cfd_id=cfd.cfd_id,
-                    relation=table.name,
-                    row_index=index,
-                    attribute=cfd.rhs,
-                    actual=row.get(cfd.rhs),
-                    expected=cfd.expected_value(row, witness=witness),
-                )
-            )
-    return violations
+
+    __slots__ = ("cfd", "witness", "rhs_position", "_lhs", "_constants", "_constant")
+
+    def __init__(
+        self,
+        cfd: CFD,
+        names: Sequence[str],
+        witness: Mapping[tuple, Any] | None = None,
+    ) -> None:
+        index = {name: position for position, name in enumerate(names)}
+        lhs = tuple(index.get(attribute) for attribute in cfd.lhs)
+        self.cfd = cfd
+        #: Normalised LHS values → expected RHS value (variable CFDs).
+        self.witness = witness
+        #: Position of the RHS attribute; None when the layout lacks it.
+        self.rhs_position = index.get(cfd.rhs)
+        self._lhs = None if None in lhs else lhs
+        self._constants = tuple(
+            (index.get(attribute), constant)
+            for attribute, constant in cfd.lhs_pattern
+            if constant != WILDCARD
+        )
+        self._constant = cfd.is_constant
+
+    def applies(self, values: Sequence[Any]) -> bool:
+        """Whether the row is in scope (rows NULL on the LHS never are)."""
+        if self._lhs is None:
+            return False
+        for position in self._lhs:
+            if is_null(values[position]):
+                return False
+        for position, constant in self._constants:
+            if not _values_equal(values[position], constant):
+                return False
+        return True
+
+    def expected(self, values: Sequence[Any]) -> Any:
+        """The value the RHS should have: the constant pattern, or the
+        witness's value for the row's LHS (None when unknown)."""
+        if self._constant:
+            return self.cfd.rhs_pattern
+        if self.witness is None:
+            return None
+        return self.witness.get(normalise_key_tuple(values[position] for position in self._lhs))
+
+    def satisfied(self, values: Sequence[Any]) -> bool:
+        """Whether the row's RHS equals :meth:`expected`.
+
+        A variable CFD holds where the witness knows no value; a constant
+        one never holds with a NULL pattern. A layout without the RHS
+        attribute reads it as NULL.
+        """
+        expected = self.expected(values)
+        if expected is None and not self._constant:
+            return True
+        position = self.rhs_position
+        return _values_equal(None if position is None else values[position], expected)
 
 
 def _values_equal(left: Any, right: Any) -> bool:

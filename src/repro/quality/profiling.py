@@ -23,7 +23,6 @@ __all__ = [
     "candidate_keys",
     "functional_dependency_confidence",
     "discover_functional_dependencies",
-    "inclusion_dependency_coverage",
     "value_overlap",
 ]
 
@@ -152,14 +151,3 @@ def value_overlap(
         return 0.0
     target_values = target.distinct_values(target_attribute)
     return len(source_values & target_values) / len(source_values)
-
-
-def inclusion_dependency_coverage(source: Table, target: Table) -> dict[tuple[str, str], float]:
-    """Pairwise inclusion coverage between all column pairs of two tables."""
-    coverage: dict[tuple[str, str], float] = {}
-    for source_attribute in source.schema.attribute_names:
-        for target_attribute in target.schema.attribute_names:
-            coverage[(source_attribute, target_attribute)] = value_overlap(
-                source, source_attribute, target, target_attribute
-            )
-    return coverage

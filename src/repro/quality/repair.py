@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
 from repro.provenance.model import OPERATOR_REPAIR, ProvenanceStore
-from repro.quality.cfd import CFD, _values_equal
+from repro.quality.cfd import CFD, CFDCheck, _values_equal
 from repro.relational.table import Table
 from repro.relational.types import is_null
 
@@ -76,8 +76,10 @@ class CFDRepairer:
     ) -> RepairResult:
         """Return a repaired copy of ``table`` and the actions performed.
 
-        CFDs are applied in decreasing confidence order; once a cell has been
-        repaired by one CFD it is not touched again by a weaker one. With a
+        CFDs are applied in decreasing confidence order, each through its
+        :class:`~repro.quality.cfd.CFDCheck` over the rows as rewritten so
+        far; once a cell has been repaired by one CFD it is not touched again
+        by a weaker one. With a
         provenance store each repaired cell records a lineage override: the
         current value no longer comes from the mapped source row but from
         the CFD (and its witness reference data) that rewrote it.
@@ -85,25 +87,20 @@ class CFDRepairer:
         witnesses = witnesses or {}
         ordered = sorted(cfds, key=lambda cfd: (-cfd.confidence, -cfd.support, cfd.cfd_id))
         rows = [list(values) for values in table.tuples()]
-        schema = table.schema
+        names = table.schema.attribute_names
         actions: list[RepairAction] = []
         touched: set[tuple[int, str]] = set()
 
         for cfd in ordered:
-            if cfd.rhs not in schema:
+            check = CFDCheck(cfd, names, witnesses.get(cfd.cfd_id))
+            rhs_position = check.rhs_position
+            if rhs_position is None:
                 continue
-            if any(attribute not in schema for attribute in cfd.lhs):
-                continue
-            rhs_position = schema.position(cfd.rhs)
-            witness = witnesses.get(cfd.cfd_id)
             for row_index, values in enumerate(rows):
-                if (row_index, cfd.rhs) in touched:
+                if (row_index, cfd.rhs) in touched or not check.applies(values):
                     continue
-                row = dict(zip(schema.attribute_names, values))
-                if not cfd.applies_to(row):
-                    continue
-                expected = cfd.expected_value(row, witness=witness)
-                if expected is None or is_null(expected):
+                expected = check.expected(values)
+                if is_null(expected):
                     continue
                 current = values[rhs_position]
                 if is_null(current):

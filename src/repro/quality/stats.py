@@ -1,25 +1,32 @@
-"""Mergeable sufficient statistics for the four quality criteria.
+"""Quality metrics as mergeable sufficient statistics.
 
-Every criterion in :mod:`repro.quality.metrics` is a *decomposable
-aggregate*: the score of a table is a pure function of per-row
-contributions that add (and subtract) independently. This module captures
-those contributions as picklable accumulators — per-attribute null/row
-counts for completeness, checked/correct counters over a keyed reference
-index for accuracy, per-CFD checkable/violation counters for consistency,
-and a covered-key multiset over the master-key set for relevance — so the
-feedback loop can *patch* a metric report when a handful of rows change
-instead of rescanning the whole table (the standard self-maintainable-view
-trick from incremental view maintenance, applied to the data-quality layer).
+Paper §2.3: "the completeness of the crimerank attribute can be estimated as
+the fraction of non-null values", while "determining the consistency of the
+property table needs additional information" — CFDs learned from reference
+data. Accuracy is measured against reference/master/ground-truth data, and
+relevance as coverage of the entities the user cares about (master data).
+Every score lies in [0, 1]; higher is better.
 
-Contract: for any sequence of ``add_row`` / ``remove_row`` / ``replace_row``
-calls that ends in row multiset *R*, ``finalise()`` is **bit-identical** to
-:func:`repro.quality.metrics.evaluate_quality` over a table holding *R* —
-the scan functions in ``metrics.py`` are themselves implemented as "build
-stats, then finalise", and the property tests in
-``tests/test_quality_stats.py`` check the equality over random tables and
-random deltas. ``merge`` combines accumulators built over disjoint row sets
-(associatively): candidate scoring finalises a union mapping from the merge
-of its leaves' statistics (:class:`repro.mapping.selection.LeafStatsCache`).
+Each criterion is a *decomposable aggregate*: the score of a table is a pure
+function of per-row contributions that add (and subtract) independently.
+This module captures those contributions as picklable accumulators —
+per-attribute null/row counts for completeness, checked/correct counters
+over a keyed reference index for accuracy, per-CFD checkable/violation
+counters for consistency, and a covered-key multiset over the master-key
+set for relevance — so the feedback loop can *patch* a metric report when a
+handful of rows change instead of rescanning the whole table (the standard
+self-maintainable-view trick from incremental view maintenance, applied to
+the data-quality layer).
+
+:func:`build_stats` is the one whole-table build, and
+``build_stats(table, ...).finalise()`` scores a table. Contract: for any
+sequence of ``add_row`` / ``remove_row`` / ``replace_row`` calls that ends
+in row multiset *R*, ``finalise()`` is **bit-identical** to that score over
+a table holding *R*; the property tests in ``tests/test_quality_stats.py``
+check the equality over random tables and random deltas. ``merge`` combines
+accumulators built over disjoint row sets (associatively): candidate
+scoring finalises a union mapping from the merge of its leaves' statistics
+(:class:`repro.mapping.selection.LeafStatsCache`).
 
 :class:`MetricContext` holds the data context a relation is scored against
 and turns it into the :func:`build_stats` arguments for a row layout.
@@ -30,12 +37,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
 
-from repro.quality.cfd import CFD
+from repro.quality.cfd import CFD, CFDCheck
 from repro.relational.keys import normalise_key_tuple
 from repro.relational.table import Table
 from repro.relational.types import is_null
 
 __all__ = [
+    "QualityReport",
     "CompletenessStats",
     "AccuracyStats",
     "ConsistencyStats",
@@ -141,19 +149,18 @@ class CompletenessStats:
 
     def add_row(self, values: Sequence[Any]) -> None:
         """Count one row's contribution."""
-        self.row_count += 1
-        counts = self.null_counts
-        for name, position in self._tracked:
-            if is_null(values[position]):
-                counts[name] += 1
+        self._count(values, 1)
 
     def remove_row(self, values: Sequence[Any]) -> None:
         """Retract one previously added row's contribution."""
-        self.row_count -= 1
+        self._count(values, -1)
+
+    def _count(self, values: Sequence[Any], sign: int) -> None:
+        self.row_count += sign
         counts = self.null_counts
         for name, position in self._tracked:
             if is_null(values[position]):
-                counts[name] -= 1
+                counts[name] += sign
 
     def merge(self, other: "CompletenessStats") -> None:
         """Fold another shard's counters into this one."""
@@ -169,13 +176,9 @@ class CompletenessStats:
             return 0.0
         return 1.0 - self.null_counts[attribute] / self.row_count
 
-    def score(
-        self,
-        attributes: Sequence[str] | None = None,
-        weights: Mapping[str, float] | None = None,
-    ) -> float:
-        """(Weighted) mean completeness, exactly as ``table_completeness``."""
-        names = list(attributes) if attributes is not None else list(self.attributes)
+    def score(self, weights: Mapping[str, float] | None = None) -> float:
+        """(Weighted) mean completeness over the tracked attributes."""
+        names = self.attributes
         if not names:
             return 0.0
         if weights:
@@ -312,9 +315,10 @@ class AccuracyStats:
 class ConsistencyStats:
     """Per-CFD checkable and violation counters (with witness indexes).
 
-    One pass over the rows evaluates ``applies_to`` once per (row, CFD)
-    pair and folds the checkable-cell count into the violation check —
-    the double scan the monolithic ``consistency()`` used to do.
+    Each CFD is evaluated by its :class:`~repro.quality.cfd.CFDCheck` over
+    ``row_names``, the check the repairer runs too: a row in a CFD's scope
+    adds a checkable cell, and a violation when it does not satisfy the
+    CFD. The checks are rebuilt from the pickled fields on load.
     """
 
     row_names: tuple[str, ...]
@@ -332,7 +336,9 @@ class ConsistencyStats:
             self.checkable = [0] * len(self.cfds)
         if not self.violations:
             self.violations = [0] * len(self.cfds)
-        self._witness_of = tuple(self.witnesses.get(cfd.cfd_id) for cfd in self.cfds)
+        self._checks = tuple(
+            CFDCheck(cfd, self.row_names, self.witnesses.get(cfd.cfd_id)) for cfd in self.cfds
+        )
 
     def __getstate__(self):
         return {
@@ -350,29 +356,19 @@ class ConsistencyStats:
 
     def add_row(self, values: Sequence[Any]) -> None:
         """Count one row's contribution."""
-        self.row_count += 1
-        if not self.cfds:
-            return
-        row = dict(zip(self.row_names, values))
-        for position, cfd in enumerate(self.cfds):
-            if not cfd.applies_to(row):
-                continue
-            self.checkable[position] += 1
-            if not cfd.check_applicable(row, witness=self._witness_of[position]):
-                self.violations[position] += 1
+        self._count(values, 1)
 
     def remove_row(self, values: Sequence[Any]) -> None:
         """Retract one previously added row's contribution."""
-        self.row_count -= 1
-        if not self.cfds:
-            return
-        row = dict(zip(self.row_names, values))
-        for position, cfd in enumerate(self.cfds):
-            if not cfd.applies_to(row):
-                continue
-            self.checkable[position] -= 1
-            if not cfd.check_applicable(row, witness=self._witness_of[position]):
-                self.violations[position] -= 1
+        self._count(values, -1)
+
+    def _count(self, values: Sequence[Any], sign: int) -> None:
+        self.row_count += sign
+        for position, check in enumerate(self._checks):
+            if check.applies(values):
+                self.checkable[position] += sign
+                if not check.satisfied(values):
+                    self.violations[position] += sign
 
     def merge(self, other: "ConsistencyStats") -> None:
         """Fold another shard's counters into this one."""
@@ -536,12 +532,60 @@ class AnswerAgreementStats:
 
 
 @dataclass
+class QualityReport:
+    """Per-criterion scores for one table (plus per-attribute completeness)."""
+
+    relation: str
+    completeness: float
+    accuracy: float
+    consistency: float
+    relevance: float
+    attribute_completeness: dict[str, float] = field(default_factory=dict)
+    row_count: int = 0
+    #: Certain-vs-repaired answer agreement over a query workload; ``None``
+    #: until ``Wrangler.query(mode="both")`` has observed any queries.
+    answer_agreement: float | None = None
+
+    def overall(self, weights: Mapping[str, float] | None = None) -> float:
+        """Weighted overall score (uniform weights when none are given)."""
+        scores = {
+            "completeness": self.completeness,
+            "accuracy": self.accuracy,
+            "consistency": self.consistency,
+            "relevance": self.relevance,
+        }
+        if not weights:
+            return sum(scores.values()) / len(scores)
+        total = sum(weights.get(name, 0.0) for name in scores)
+        if total <= 0:
+            return sum(scores.values()) / len(scores)
+        return sum(scores[name] * weights.get(name, 0.0) for name in scores) / total
+
+    def as_dict(self) -> dict[str, float]:
+        """The criterion scores as a dictionary.
+
+        ``answer_agreement`` appears only once observed, so consumers of
+        the four classic criteria are unaffected."""
+        scores = {
+            "completeness": self.completeness,
+            "accuracy": self.accuracy,
+            "consistency": self.consistency,
+            "relevance": self.relevance,
+        }
+        if self.answer_agreement is not None:
+            scores["answer_agreement"] = self.answer_agreement
+        return scores
+
+
+@dataclass
 class QualityStats:
     """The four criterion accumulators for one relation, as one unit.
 
     ``accuracy`` / ``relevance`` are None when the corresponding data
     context is unavailable; :meth:`finalise` then reports the neutral 0.5,
-    mirroring :func:`repro.quality.metrics.evaluate_quality`.
+    following the paper's point that some metrics *cannot be determined*
+    without data context. Consistency without CFDs is 1.0 (there is
+    nothing to violate).
     """
 
     relation: str
@@ -553,7 +597,7 @@ class QualityStats:
     completeness_weights: dict[str, float] | None = None
     #: Query-workload agreement; attached lazily by ``Wrangler.query`` —
     #: row-fed paths never create or touch it, keeping ``finalise`` on the
-    #: four classic criteria bit-identical to ``evaluate_quality``.
+    #: four classic criteria a pure function of the rows.
     answer_agreement: AnswerAgreementStats | None = None
 
     @property
@@ -667,14 +711,12 @@ class QualityStats:
 
     # -- finalisation ---------------------------------------------------------
 
-    def finalise(self):
-        """Derive the :class:`~repro.quality.metrics.QualityReport`.
+    def finalise(self) -> QualityReport:
+        """Derive the :class:`QualityReport`.
 
-        Bit-identical to ``evaluate_quality`` over the row multiset the
-        accumulators currently reflect (the checked contract).
+        Bit-identical to ``build_stats(...).finalise()`` over the row
+        multiset the accumulators currently reflect (the checked contract).
         """
-        from repro.quality.metrics import QualityReport
-
         completeness_by_attribute = {
             name: self.completeness.attribute_completeness(name)
             for name in self.completeness.attributes
@@ -710,8 +752,9 @@ def build_stats(
 ) -> QualityStats:
     """Accumulate ``table``'s rows into fresh :class:`QualityStats`.
 
-    Same inputs as :func:`repro.quality.metrics.evaluate_quality`; that
-    function is now literally ``build_stats(...).finalise()``.
+    ``build_stats(table, ...).finalise()`` is the table's
+    :class:`QualityReport`; callers that patch the report later keep the
+    stats instead.
     """
     stats = QualityStats.for_schema(
         table.schema,

@@ -87,7 +87,7 @@ class QualityStatsStash:
         return self.entries.get(relation)
 
     def report(self, relation: str):
-        """The finalised :class:`~repro.quality.metrics.QualityReport` (or None)."""
+        """The finalised :class:`~repro.quality.stats.QualityReport` (or None)."""
         entry = self.entries.get(relation)
         return entry.stats.finalise() if entry is not None else None
 
@@ -377,10 +377,11 @@ class DataRepairTransducer(Transducer):
             patch_relation_stats(kb, relation, table.tuples(), result.table.tuples())
             repaired_tables.append(relation)
             total_actions += len(result.actions)
+            row_keys = result.table.row_keys()
             for action in result.actions:
                 fact = repair_fact(
                     action.relation,
-                    str(action.row_index),
+                    row_keys[action.row_index],
                     action.attribute,
                     action.old_value,
                     action.new_value,

@@ -67,8 +67,7 @@ from repro.mapping.transducers import (
 from repro.matching.transducers import InstanceMatchingTransducer, SchemaMatchingTransducer
 from repro.provenance.explain import LineageTree, explain_result, render_lineage
 from repro.provenance.model import ProvenanceStore, provenance_store
-from repro.quality.metrics import QualityReport
-from repro.quality.stats import AnswerAgreementStats, MetricContext
+from repro.quality.stats import AnswerAgreementStats, MetricContext, QualityReport
 from repro.quality.transducers import (
     CFD_ARTIFACT_KEY,
     CFDLearningTransducer,

@@ -9,7 +9,7 @@ from repro.core.trace import Trace
 from repro.mapping.model import SchemaMapping
 from repro.provenance.explain import LineageTree, explain_result, render_lineage
 from repro.provenance.model import ProvenanceStore
-from repro.quality.metrics import QualityReport
+from repro.quality.stats import QualityReport
 from repro.relational.table import Table
 
 __all__ = ["WranglingResult"]

@@ -106,15 +106,15 @@ class TestPayAsYouGoShape:
 class TestAgainstManualEtlBaseline:
     def test_vada_needs_fewer_manual_actions_for_comparable_quality(self, payg_results):
         from repro.baselines import default_real_estate_etl
-        from repro.quality import evaluate_quality
+        from repro.quality import build_stats
 
         scenario = payg_results["scenario"]
         pipeline = default_real_estate_etl()
         sources = {table.name: table for table in scenario.sources()}
         etl_result = pipeline.run(sources, scenario.target)
-        etl_quality = evaluate_quality(
+        etl_quality = build_stats(
             etl_result, reference=scenario.ground_truth, reference_key=["postcode", "price"],
-            master=scenario.ground_truth, master_key=["postcode", "price"])
+            master=scenario.ground_truth, master_key=["postcode", "price"]).finalise()
         vada_bootstrap_actions = 4  # three sources + target schema
         assert vada_bootstrap_actions < pipeline.manual_actions()
         # bootstrap quality is in the same ballpark as the hand-written ETL

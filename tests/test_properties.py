@@ -18,7 +18,7 @@ from repro.matching.similarity import (
     name_similarity,
     ngram_similarity,
 )
-from repro.quality.metrics import attribute_completeness, table_completeness
+from repro.quality import build_stats
 from repro.relational import Attribute, DataType, Schema, Table
 from repro.relational.keys import normalise_key
 from repro.relational.types import coerce_value, infer_type, is_null
@@ -52,9 +52,10 @@ def tables(draw, min_rows: int = 0, max_rows: int = 12):
 @given(tables())
 @settings(max_examples=60)
 def test_completeness_is_bounded(table):
+    report = build_stats(table).finalise()
     for name in table.schema.attribute_names:
-        assert 0.0 <= attribute_completeness(table, name) <= 1.0
-    assert 0.0 <= table_completeness(table) <= 1.0
+        assert 0.0 <= report.attribute_completeness[name] <= 1.0
+    assert 0.0 <= report.completeness <= 1.0
 
 
 @given(cell_values)

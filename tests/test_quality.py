@@ -8,25 +8,20 @@ from repro.core import KnowledgeBase, Predicates
 from repro.quality import (
     CFD,
     CFD_ARTIFACT_KEY,
+    CFDCheck,
     CFDLearner,
     CFDLearnerConfig,
     CFDLearningTransducer,
     CFDRepairer,
     DataRepairTransducer,
     QualityMetricTransducer,
-    accuracy_against_reference,
-    attribute_completeness,
+    build_stats,
     build_witness,
     candidate_keys,
-    consistency,
     discover_functional_dependencies,
-    evaluate_quality,
-    find_violations,
     functional_dependency_confidence,
     profile_column,
     profile_table,
-    relevance,
-    table_completeness,
     value_overlap,
 )
 from repro.relational import Attribute, DataType, Schema, Table
@@ -95,6 +90,9 @@ class TestCfd:
     def variable_cfd(self) -> CFD:
         return CFD("cfd1", "property_result", ("postcode",), "street")
 
+    def check(self, cfd: CFD, witness=None) -> CFDCheck:
+        return CFDCheck(cfd, PROPERTY_SCHEMA.attribute_names, witness)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             CFD("bad", "r", (), "street")
@@ -104,37 +102,27 @@ class TestCfd:
             CFD("bad", "r", ("a",), "b", lhs_pattern=(("c", "x"),))
 
     def test_applies_to_requires_non_null_lhs(self):
-        cfd = self.variable_cfd()
-        assert cfd.applies_to({"postcode": "M1 1AA", "street": None})
-        assert not cfd.applies_to({"postcode": None, "street": "Oak Street"})
+        check = self.check(self.variable_cfd())
+        assert check.applies((None, "M1 1AA", 100.0, 2))
+        assert not check.applies(("Oak Street", None, 100.0, 2))
 
     def test_variable_cfd_checks_against_witness(self):
-        cfd = self.variable_cfd()
-        witness = {("m11aa",): "Oak Street"}
-        assert cfd.check_row({"postcode": "M1 1AA", "street": "Oak Street"}, witness=witness)
-        assert not cfd.check_row({"postcode": "M1 1AA", "street": "Elm Road"}, witness=witness)
+        check = self.check(self.variable_cfd(), {("m11aa",): "Oak Street"})
+        assert check.satisfied(("Oak Street", "M1 1AA", 100.0, 2))
+        assert not check.satisfied(("Elm Road", "M1 1AA", 100.0, 2))
+        assert check.expected(("Elm Road", "M1 1AA", 100.0, 2)) == "Oak Street"
         # Unknown postcode: nothing to compare against, trivially satisfied.
-        assert cfd.check_row({"postcode": "ZZ9 9ZZ", "street": "Elm Road"}, witness=witness)
+        assert check.satisfied(("Elm Road", "ZZ9 9ZZ", 100.0, 2))
 
     def test_constant_cfd(self):
         cfd = CFD("c", "r", ("postcode",), "city",
                   lhs_pattern=(("postcode", "M1 1AA"),), rhs_pattern="Manchester")
         assert cfd.is_constant
-        assert cfd.check_row({"postcode": "M1 1AA", "city": "Manchester"})
-        assert not cfd.check_row({"postcode": "M1 1AA", "city": "Leeds"})
-        assert cfd.check_row({"postcode": "M5 3CC", "city": "Leeds"})  # pattern not applicable
-
-    def test_find_violations(self):
-        table = Table(PROPERTY_SCHEMA, [
-            ("Oak Street", "M1 1AA", 100.0, 2),
-            ("Wrong Road", "M1 1AA", 120.0, 3),
-        ])
-        cfd = self.variable_cfd()
-        witness = {("m11aa",): "Oak Street"}
-        violations = find_violations(table, [cfd], witnesses={"cfd1": witness})
-        assert len(violations) == 1
-        assert violations[0].row_index == 1
-        assert violations[0].expected == "Oak Street"
+        check = CFDCheck(cfd, ("postcode", "city"))
+        assert check.applies(("M1 1AA", "Manchester"))
+        assert check.satisfied(("M1 1AA", "Manchester"))
+        assert not check.satisfied(("M1 1AA", "Leeds"))
+        assert not check.applies(("M5 3CC", "Leeds"))  # pattern not applicable
 
     def test_fact_fields_and_describe(self):
         cfd = self.variable_cfd()
@@ -164,6 +152,11 @@ class TestCfdLearning:
         assert witness[("m11aa",)] == "Oak Street"
 
 
+def scores(table: Table, **context):
+    """The quality report of ``table`` in ``context`` (see ``build_stats``)."""
+    return build_stats(table, **context).finalise()
+
+
 class TestMetrics:
     def result_table(self) -> Table:
         return Table(PROPERTY_SCHEMA, [
@@ -173,20 +166,19 @@ class TestMetrics:
         ])
 
     def test_completeness(self):
-        table = self.result_table()
-        assert attribute_completeness(table, "street") == pytest.approx(2 / 3)
-        assert attribute_completeness(table, "price") == 1.0
-        assert table_completeness(table) == pytest.approx((2 / 3 + 1 + 1 + 2 / 3) / 4)
+        report = scores(self.result_table())
+        assert report.attribute_completeness["street"] == pytest.approx(2 / 3)
+        assert report.attribute_completeness["price"] == 1.0
+        assert report.completeness == pytest.approx((2 / 3 + 1 + 1 + 2 / 3) / 4)
 
     def test_completeness_weights(self):
-        table = self.result_table()
-        weighted = table_completeness(table, weights={"street": 1.0})
-        assert weighted == pytest.approx(2 / 3)
+        report = scores(self.result_table(), completeness_weights={"street": 1.0})
+        assert report.completeness == pytest.approx(2 / 3)
 
     def test_completeness_ignores_bookkeeping_columns(self):
         schema = PROPERTY_SCHEMA.add(Attribute("_source", DataType.STRING))
         table = Table(schema, [("Oak Street", "M1 1AA", 100.0, 2, "rightmove")])
-        assert table_completeness(table) == 1.0
+        assert scores(table).completeness == 1.0
 
     def test_accuracy_against_reference(self):
         reference = Table(PROPERTY_SCHEMA, [
@@ -198,14 +190,15 @@ class TestMetrics:
             ("Wrong Road", "M5 3CC", 200.0, None),  # street wrong, bedrooms missing
             ("Mill Lane", "ZZ9 9ZZ", 1.0, 1),       # key not in reference: ignored
         ])
-        accuracy = accuracy_against_reference(table, reference, ["postcode", "price"])
+        accuracy = scores(table, reference=reference, reference_key=["postcode", "price"]).accuracy
         # checked cells: row0 street+bedrooms (2 correct), row1 street (wrong).
         assert accuracy == pytest.approx(2 / 3)
 
     def test_accuracy_without_checkable_cells_is_zero(self):
         reference = Table(PROPERTY_SCHEMA, [("Oak Street", "M1 1AA", 100.0, 2)])
         table = Table(PROPERTY_SCHEMA, [("Oak Street", "ZZ1 1ZZ", 999.0, 1)])
-        assert accuracy_against_reference(table, reference, ["postcode", "price"]) == 0.0
+        report = scores(table, reference=reference, reference_key=["postcode", "price"])
+        assert report.accuracy == 0.0
 
     def test_consistency(self):
         cfd = CFD("cfd1", "property_result", ("postcode",), "street")
@@ -213,17 +206,18 @@ class TestMetrics:
         clean = Table(PROPERTY_SCHEMA, [("Oak Street", "M1 1AA", 100.0, 2)])
         dirty = Table(PROPERTY_SCHEMA, [("Bad Street", "M1 1AA", 100.0, 2),
                                         ("Oak Street", "M1 1AA", 120.0, 3)])
-        assert consistency(clean, [cfd], witnesses={"cfd1": witness}) == 1.0
-        assert consistency(dirty, [cfd], witnesses={"cfd1": witness}) == pytest.approx(0.5)
-        assert consistency(clean, []) == 1.0
+        context = {"cfds": [cfd], "witnesses": {"cfd1": witness}}
+        assert scores(clean, **context).consistency == 1.0
+        assert scores(dirty, **context).consistency == pytest.approx(0.5)
+        assert scores(clean).consistency == 1.0
 
     def test_relevance(self):
         master = Table(Schema("master", ["postcode"]), [("M1 1AA",), ("M9 9XX",)])
         table = Table(PROPERTY_SCHEMA, [("Oak Street", "M1 1AA", 1.0, 1)])
-        assert relevance(table, master, ["postcode"]) == pytest.approx(0.5)
+        assert scores(table, master=master, master_key=["postcode"]).relevance == pytest.approx(0.5)
 
     def test_evaluate_quality_neutral_without_context(self):
-        report = evaluate_quality(self.result_table())
+        report = scores(self.result_table())
         assert report.accuracy == 0.5
         assert report.relevance == 0.5
         assert report.consistency == 1.0
@@ -232,7 +226,7 @@ class TestMetrics:
             (report.completeness + 0.5 + 1.0 + 0.5) / 4)
 
     def test_overall_with_weights(self):
-        report = evaluate_quality(self.result_table())
+        report = scores(self.result_table())
         weighted = report.overall({"completeness": 1.0})
         assert weighted == pytest.approx(report.completeness)
 
@@ -309,3 +303,20 @@ class TestQualityTransducers:
         assert "property_result" in outcome.tables_written
         assert kb.get_table("property_result")[0]["street"] == "Oak Street"
         assert kb.count(Predicates.REPAIR) > 0
+
+    def test_repair_facts_name_rows_by_key(self):
+        """``repair(relation, row_key, ...)`` names the row by its ``_row_id``."""
+        kb = self.setup_kb()
+        kb.register_table(ADDRESSES, Predicates.ROLE_CONTEXT)
+        kb.assert_fact(Predicates.DATA_CONTEXT, "address", "reference", "property")
+        CFDLearningTransducer(CFDLearnerConfig(min_constant_support=5)).execute(kb)
+        schema = PROPERTY_SCHEMA.rename("property_result").add(
+            Attribute("_row_id", DataType.STRING))
+        kb.catalog.register(Table(schema, [
+            ("Oak Street", "M1 1AA", 100.0, 2, "rightmove:7"),
+            ("Wrong Road", "M5 3CC", 150.0, 3, "rightmove:9"),
+        ]))
+        kb.assert_fact(Predicates.RESULT, "property_result", "m1", 2)
+        DataRepairTransducer().execute(kb)
+        assert kb.get_table("property_result")[1]["street"] == "Elm Road"
+        assert {fact[1] for fact in kb.facts(Predicates.REPAIR)} == {"rightmove:9"}

@@ -3,29 +3,33 @@
 The contract under test: a maintained :class:`QualityStats` — fed any mix of
 ``add_row`` / ``remove_row`` / ``replace_row`` deltas — finalises to exactly
 the report a full recomputation over the resulting row multiset produces,
-and ``merge`` combines shard accumulators associatively.
+and ``merge`` combines shard accumulators associatively. The CFD check that
+consistency and repair share is compared with a dict-row oracle.
 """
 
 from __future__ import annotations
 
 import pickle
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.quality import (
     CFD,
+    WILDCARD,
+    CFDCheck,
     CFDLearner,
     CFDLearnerConfig,
+    CFDRepairer,
     build_stats,
     build_witness,
-    consistency,
-    evaluate_quality,
-    find_violations,
 )
 from repro.quality.stats import QualityStats
 from repro.quality.transducers import quality_stats_stash
 from repro.relational import Attribute, DataType, Schema, Table
+from repro.relational.keys import normalise_key_tuple
+from repro.relational.types import is_null
 
 SCHEMA = Schema("listing", [
     Attribute("street", DataType.STRING),
@@ -86,6 +90,11 @@ def assert_reports_equal(left, right):
     assert left.row_count == right.row_count
 
 
+def rescan(table):
+    """The report of a whole-table build in the test context."""
+    return build_stats(table, **context_kwargs()).finalise()
+
+
 class TestDeltaMaintenance:
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -98,7 +107,7 @@ class TestDeltaMaintenance:
         ),
     )
     def test_maintained_stats_equal_full_recompute(self, initial, deltas):
-        """Random deltas → finalise == evaluate_quality over the final rows."""
+        """Random deltas → finalise == a whole-table build over the final rows."""
         stats = QualityStats.for_schema(SCHEMA, relation="listing", **context_kwargs())
         rows = list(initial)
         for values in rows:
@@ -115,7 +124,7 @@ class TestDeltaMaintenance:
                 stats.replace_row(rows[index], replacement)
                 rows[index] = replacement
         table = Table(SCHEMA, rows, coerce=False, validate=False)
-        assert_reports_equal(stats.finalise(), evaluate_quality(table, **context_kwargs()))
+        assert_reports_equal(stats.finalise(), rescan(table))
 
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -169,11 +178,9 @@ class TestMerge:
         assert_reports_equal(left.finalise(), right.finalise())
         whole = Table(SCHEMA, [row for rows in shards for row in rows],
                       coerce=False, validate=False)
-        assert_reports_equal(left.finalise(), evaluate_quality(whole, **context_kwargs()))
+        assert_reports_equal(left.finalise(), rescan(whole))
 
     def test_merge_rejects_incompatible_configurations(self):
-        import pytest
-
         with_context = QualityStats.for_schema(SCHEMA, relation="l", **context_kwargs())
         bare = QualityStats.for_schema(SCHEMA, relation="l")
         with pytest.raises(ValueError):
@@ -182,7 +189,11 @@ class TestMerge:
 
 class TestSinglePassConsistency:
     def test_consistency_matches_two_pass_computation(self):
-        """The folded single pass equals the old applies_to + find_violations."""
+        """One pass counts what separate scope and violation scans count.
+
+        v1 checks the four rows with a postcode and flags Wrong Road (SK1 2EF
+        has no witness, so its NULL street passes); c1 checks the two M1 1AA
+        rows and flags Wrong Road too."""
         rows = [
             ("Oak Street", "M1 1AA", 100.0, 2, "s:0"),
             ("Wrong Road", "M1 1AA", 120.0, 3, "s:1"),
@@ -191,18 +202,211 @@ class TestSinglePassConsistency:
             ("Mill Lane", None, 1.0, 1, "s:4"),
         ]
         table = Table(SCHEMA, rows, coerce=False, validate=False)
-        checkable = sum(
-            1 for cfd in CFDS for row in table.rows() if cfd.applies_to(row)
-        )
-        violations = find_violations(table, CFDS, witnesses=WITNESSES)
-        expected = max(0.0, 1.0 - len(violations) / checkable)
-        assert consistency(table, CFDS, witnesses=WITNESSES) == expected
+        stats = build_stats(table, cfds=CFDS, witnesses=WITNESSES)
+        assert stats.consistency.checkable == [4, 2]
+        assert stats.consistency.violations == [1, 1]
+        assert stats.finalise().consistency == 1.0 - 2 / 6
 
     def test_consistency_trivial_cases(self):
         table = Table(SCHEMA, [("Oak Street", "M1 1AA", 100.0, 2, "s:0")],
                       coerce=False, validate=False)
-        assert consistency(table, []) == 1.0
-        assert consistency(Table(SCHEMA, []), CFDS, witnesses=WITNESSES) == 1.0
+        assert build_stats(table).finalise().consistency == 1.0
+        empty = build_stats(Table(SCHEMA, []), cfds=CFDS, witnesses=WITNESSES)
+        assert empty.finalise().consistency == 1.0
+
+
+# -- the shared CFD check against a dict-row oracle ------------------------------
+#
+# The oracle restates the CFD semantics over dict rows: a row is in scope when
+# it has every LHS attribute, none NULL or NaN, and matches each LHS constant;
+# a missing RHS attribute reads as NULL; witnesses key on the normalised LHS.
+
+
+def oracle_equal(left, right):
+    if is_null(left) or is_null(right):
+        return False
+    if isinstance(left, str) and isinstance(right, str):
+        return left.strip().lower() == right.strip().lower()
+    if isinstance(left, (int, float)) and isinstance(right, (int, float)):
+        return float(left) == float(right)
+    return left == right
+
+
+def oracle_applies(cfd, row):
+    if any(attribute not in row or is_null(row[attribute]) for attribute in cfd.lhs):
+        return False
+    return all(
+        constant == WILDCARD or oracle_equal(row[attribute], constant)
+        for attribute, constant in cfd.lhs_pattern
+    )
+
+
+def oracle_expected(cfd, row, witness):
+    if cfd.is_constant:
+        return cfd.rhs_pattern
+    if witness is None:
+        return None
+    return witness.get(normalise_key_tuple(row[attribute] for attribute in cfd.lhs))
+
+
+def oracle_satisfied(cfd, row, witness):
+    value = row.get(cfd.rhs)
+    if cfd.is_constant:
+        return oracle_equal(value, cfd.rhs_pattern)
+    expected = oracle_expected(cfd, row, witness)
+    if expected is None:
+        return True
+    if is_null(value):
+        return False
+    return oracle_equal(value, expected)
+
+
+def oracle_repair(names, rows, cfds, witnesses):
+    """Repair over dict rows: confidence order, rewritten rows, cells once."""
+    rows = [dict(zip(names, values)) for values in rows]
+    actions = []
+    touched = set()
+    for cfd in sorted(cfds, key=lambda cfd: (-cfd.confidence, -cfd.support, cfd.cfd_id)):
+        if cfd.rhs not in names or any(attribute not in names for attribute in cfd.lhs):
+            continue
+        witness = witnesses.get(cfd.cfd_id)
+        for index, row in enumerate(rows):
+            if (index, cfd.rhs) in touched or not oracle_applies(cfd, row):
+                continue
+            expected = oracle_expected(cfd, row, witness)
+            if expected is None or is_null(expected):
+                continue
+            current = row[cfd.rhs]
+            if is_null(current):
+                kind = "imputation"
+            elif not oracle_equal(current, expected):
+                kind = "violation"
+            else:
+                continue
+            row[cfd.rhs] = expected
+            touched.add((index, cfd.rhs))
+            actions.append((index, cfd.rhs, current, expected, cfd.cfd_id, kind))
+    return [tuple(row[name] for name in names) for row in rows], actions
+
+
+def same(left, right):
+    """Equal values of the same type (``1``, ``1.0`` and ``True`` differ)."""
+    return repr(left) == repr(right) and type(left) is type(right)
+
+
+# NULL and NaN, case and whitespace drift, and "1", 1, 1.0 and True.
+CELLS = [None, float("nan"), "x", "X", " X ", "y", "1", 1, 1.0, True, 0, 2.5]
+LAYOUT_NAMES = ["a", "b", "c", "d"]
+
+
+@st.composite
+def cfds(draw, cfd_id="cfd"):
+    lhs = tuple(draw(st.lists(st.sampled_from(["a", "b"]), min_size=1, max_size=2,
+                              unique=True)))
+    pattern = tuple(
+        (attribute, draw(st.sampled_from(CELLS)))
+        for attribute in lhs
+        if draw(st.booleans())
+    )
+    return CFD(
+        cfd_id, "t", lhs, draw(st.sampled_from(["c", "d"])),
+        lhs_pattern=pattern,
+        rhs_pattern=draw(st.one_of(st.just(WILDCARD), st.sampled_from(CELLS))),
+        confidence=draw(st.sampled_from([1.0, 0.9])),
+    )
+
+
+@st.composite
+def witnesses(draw, cfd):
+    """None, or LHS value combinations (normalised) → expected RHS values."""
+    if draw(st.booleans()):
+        return None
+    entries = draw(st.lists(
+        st.tuples(st.tuples(*(st.sampled_from(CELLS) for _ in cfd.lhs)),
+                  st.sampled_from(CELLS)),
+        max_size=6,
+    ))
+    return {normalise_key_tuple(key): value for key, value in entries}
+
+
+@st.composite
+def layouts(draw):
+    """Attribute names in any order, at times without an LHS or RHS attribute."""
+    names = draw(st.permutations(LAYOUT_NAMES))
+    return tuple(names if draw(st.booleans()) else names[:draw(st.integers(1, 3))])
+
+
+class TestCFDCheckOracle:
+    @settings(max_examples=500, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_check_matches_dict_row_oracle(self, data):
+        cfd = data.draw(cfds())
+        witness = data.draw(witnesses(cfd))
+        names = data.draw(layouts())
+        values = tuple(data.draw(st.sampled_from(CELLS)) for _ in names)
+        check = CFDCheck(cfd, names, witness)
+        row = dict(zip(names, values))
+        assert check.applies(values) == oracle_applies(cfd, row)
+        if oracle_applies(cfd, row):
+            assert same(check.expected(values), oracle_expected(cfd, row, witness))
+            assert check.satisfied(values) == oracle_satisfied(cfd, row, witness)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_repair_and_consistency_match_dict_row_oracle(self, data):
+        names = data.draw(layouts())
+        dependencies = [data.draw(cfds(f"cfd{index}")) for index in range(data.draw(
+            st.integers(1, 3)))]
+        witness_of = {cfd.cfd_id: data.draw(witnesses(cfd)) for cfd in dependencies}
+        rows = data.draw(st.lists(
+            st.tuples(*(st.sampled_from(CELLS) for _ in names)), min_size=1, max_size=6))
+        table = Table(Schema("t", list(names)), rows, coerce=False, validate=False)
+
+        result = CFDRepairer().repair(table, dependencies, witnesses=witness_of)
+        expected_rows, expected_actions = oracle_repair(names, rows, dependencies, witness_of)
+        actions = [
+            (action.row_index, action.attribute, action.old_value, action.new_value,
+             action.cfd_id, action.kind)
+            for action in result.actions
+        ]
+        assert same(actions, expected_actions)
+        assert same(result.table.tuples(), table.replace_rows(expected_rows).tuples())
+
+        stats = build_stats(table, cfds=dependencies, witnesses=witness_of).consistency
+        dict_rows = [dict(zip(names, values)) for values in rows]
+        in_scope = [[row for row in dict_rows if oracle_applies(cfd, row)]
+                    for cfd in dependencies]
+        assert stats.checkable == [len(scope) for scope in in_scope]
+        assert stats.violations == [
+            sum(not oracle_satisfied(cfd, row, witness_of[cfd.cfd_id]) for row in scope)
+            for cfd, scope in zip(dependencies, in_scope)
+        ]
+
+    @pytest.mark.parametrize("pattern", [None, float("nan")])
+    def test_null_constant_pattern_violates_but_never_repairs(self, pattern):
+        cfd = CFD("null", "listing", ("postcode",), "street", rhs_pattern=pattern)
+        table = Table(SCHEMA, [("Oak Street", "M1 1AA", 100.0, 2, "s:0"),
+                               (None, "M5 3CC", 200.0, 3, "s:1")],
+                      coerce=False, validate=False)
+        stats = build_stats(table, cfds=[cfd]).consistency
+        assert stats.checkable == [2]
+        assert stats.violations == [2]
+        assert CFDRepairer().repair(table, [cfd]).actions == []
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_weaker_cfd_reads_the_lhs_a_stronger_one_rewrote(self, order):
+        names = ("street", "postcode", "city")
+        strong = CFD("strong", "t", ("street",), "postcode", confidence=1.0)
+        weak = CFD("weak", "t", ("postcode",), "city", confidence=0.9)
+        witness_of = {"strong": {("oakstreet",): "M1 1AA"}, "weak": {("m11aa",): "Manchester"}}
+        table = Table(Schema("t", list(names)), [("Oak Street", "ZZ9 9ZZ", None)],
+                      coerce=False, validate=False)
+        result = CFDRepairer().repair(table, [strong, weak][::order], witnesses=witness_of)
+        assert result.table.tuples() == [("Oak Street", "M1 1AA", "Manchester")]
+        assert [(action.cfd_id, action.kind) for action in result.actions] == [
+            ("strong", "violation"), ("weak", "imputation")]
 
 
 class TestCfdIdNamespacing:
@@ -243,17 +447,6 @@ class TestCfdIdNamespacing:
 
 
 class TestBuildStats:
-    def test_build_stats_matches_evaluate_quality(self):
-        rows = [
-            ("Oak Street", "M1 1AA", 100.0, 2, "s:0"),
-            ("Wrong Road", "m1 1aa", 999.0, None, "s:1"),
-            (None, "M5 3CC", 200.0, 3, "s:2"),
-        ]
-        table = Table(SCHEMA, rows, coerce=False, validate=False)
-        stats = build_stats(table, **context_kwargs())
-        assert_reports_equal(stats.finalise(), evaluate_quality(table, **context_kwargs()))
-        assert stats.row_count == 3
-
     def test_stats_are_picklable_with_learned_cfds(self):
         reference = Table(Schema("ref", ["street", "postcode"]), [
             ("Oak Street", "M1 1AA"), ("Elm Road", "M5 3CC"),
@@ -264,23 +457,6 @@ class TestBuildStats:
         stats = build_stats(table, cfds=learned.cfds, witnesses=learned.witnesses)
         clone = pickle.loads(pickle.dumps(stats))
         assert_reports_equal(clone.finalise(), stats.finalise())
-
-    def test_empty_table_completeness_keeps_old_edge_semantics(self):
-        """Empty tables short-circuit to 0.0 before attribute validation."""
-        import pytest
-
-        from repro.quality import attribute_completeness, table_completeness
-        from repro.relational.errors import UnknownAttributeError
-
-        empty = Table(SCHEMA, [])
-        assert attribute_completeness(empty, "nope") == 0.0
-        assert table_completeness(empty, attributes=["nope"]) == 0.0
-        populated = Table(SCHEMA, [("Oak Street", "M1 1AA", 100.0, 2, "s:0")],
-                          coerce=False, validate=False)
-        with pytest.raises(UnknownAttributeError):
-            attribute_completeness(populated, "nope")
-        with pytest.raises(UnknownAttributeError):
-            table_completeness(populated, attributes=["nope"])
 
     def test_no_comparable_attributes_skips_reference_index(self):
         """names == () → 0.0 without paying for the reference index."""

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines import ManualEtlConfig, ManualEtlPipeline, default_real_estate_etl
-from repro.quality import accuracy_against_reference, functional_dependency_confidence
+from repro.quality import build_stats, functional_dependency_confidence
 from repro.relational.types import is_null
 from repro.scenarios import ScenarioConfig, generate_scenario, target_schema
 
@@ -52,8 +52,9 @@ class TestScenarioGeneration:
                 assert crime[row["postcode"]] == row["crimerank"]
 
     def test_sources_are_noisy_but_related_to_truth(self, small_scenario):
-        accuracy = accuracy_against_reference(
-            small_scenario.rightmove, small_scenario.ground_truth, ["postcode", "price"])
+        accuracy = build_stats(
+            small_scenario.rightmove, reference=small_scenario.ground_truth,
+            reference_key=["postcode", "price"]).finalise().accuracy
         assert 0.5 < accuracy < 1.0
 
     def test_noise_scaling(self):
@@ -106,6 +107,7 @@ class TestManualEtlBaseline:
         pipeline = default_real_estate_etl()
         sources = {table.name: table for table in small_scenario.sources()}
         result = pipeline.run(sources, small_scenario.target)
-        accuracy = accuracy_against_reference(
-            result, small_scenario.ground_truth, ["postcode", "price"])
+        accuracy = build_stats(
+            result, reference=small_scenario.ground_truth,
+            reference_key=["postcode", "price"]).finalise().accuracy
         assert accuracy > 0.5

@@ -18,7 +18,7 @@ from repro.core.orchestrator import PreferInstanceMatchingPolicy
 from repro.feedback.annotations import simulate_feedback
 from repro.incremental.validate import _prepare
 from repro.mapping.model import PROVENANCE_ROW_ID, PROVENANCE_SOURCE
-from repro.quality.metrics import evaluate_quality
+from repro.quality import build_stats
 from repro.quality.transducers import CFD_ARTIFACT_KEY
 from repro.relational import Attribute, DataType, Schema
 from repro.scenarios.synth import SynthConfig, family_names, generate_synthetic
@@ -263,7 +263,7 @@ class TestEvaluationContext:
         result, truth = wrangler.result(), scenario.ground_truth
         learned = wrangler.kb.get_artifact(CFD_ARTIFACT_KEY)
         shared = [k for k in scenario.evaluation_key if k in result.schema and k in truth.schema]
-        expected = evaluate_quality(
+        expected = build_stats(
             result,
             reference=truth,
             reference_key=shared,
@@ -271,6 +271,6 @@ class TestEvaluationContext:
             witnesses=learned.witnesses,
             master=truth,
             master_key=shared,
-        )
+        ).finalise()
         report = wrangler.evaluate(ground_truth=truth, key=scenario.evaluation_key)
         assert report == expected
