@@ -26,6 +26,7 @@ from typing import Any, Iterable
 from repro.core.errors import KnowledgeBaseError
 from repro.core.facts import Predicates, attribute_fact, dataset_fact, schema_fact
 from repro.datalog.engine import Database, Engine
+from repro.datalog.errors import UnknownPredicateError
 from repro.datalog.parser import parse_atom
 from repro.datalog.program import Program
 from repro.datalog.terms import Atom
@@ -48,10 +49,9 @@ class KnowledgeBase:
         self._revisions: dict[str, int] = defaultdict(int)
         self._revision = 0
         self._artifacts: dict[str, Any] = {}
-        # Dependency queries are evaluated over one shared, hash-indexed
-        # Database: models are memoised per program and revision instead of
-        # rebuilding an engine + database copy for every goal (the
-        # orchestrator probes every transducer's dependencies each step).
+        # Models are memoised per program and revision instead of rebuilding
+        # an engine + database copy for every query; a rule-free program's
+        # model is the live fact database itself (see _model_for).
         self._model_cache: dict[str, tuple[int, Engine, Database]] = {}
 
     # -- revision tracking ----------------------------------------------------
@@ -132,14 +132,17 @@ class KnowledgeBase:
         """Sorted list of non-empty predicates."""
         return self._facts.predicates()
 
-    def query(self, goal: str | Atom, program: Program | str | None = None) -> list[tuple]:
+    def query(self, goal: str | Atom, program: Program | str | None = None, *,
+              first: bool = False) -> list[tuple]:
         """Evaluate a Datalog goal over the knowledge base.
 
-        ``program`` may supply additional rules (e.g. a transducer's
-        dependency views); the KB facts are the EDB. Evaluated models are
-        cached per program until the KB changes, so repeated dependency
-        checks (multiple goals of one transducer, repeated orchestration
-        steps) reuse one indexed database instead of re-deriving it.
+        ``program`` may supply additional rules; the KB facts are the EDB.
+        Evaluated models are cached per program until the KB changes, so
+        repeated queries reuse one indexed database instead of re-deriving
+        it. The answers are sorted. With ``first=True`` the goal is an
+        existence probe instead: at most one answer, in no particular
+        order, found through the model's hash index on the goal's constant
+        positions (see :meth:`~repro.datalog.engine.Database.first_match`).
         """
         if isinstance(program, str):
             program = Program.parse(program)
@@ -148,14 +151,13 @@ class KnowledgeBase:
         engine, model = self._model_for(program)
         if isinstance(goal, str):
             goal = parse_atom(goal)
+        if first:
+            row = model.first_match(goal)
+            return [] if row is None else [row]
         try:
             return engine.query(goal, database=model)
-        except Exception as exc:  # UnknownPredicateError → empty answer is friendlier
-            from repro.datalog.errors import UnknownPredicateError
-
-            if isinstance(exc, UnknownPredicateError):
-                return []
-            raise
+        except UnknownPredicateError:  # an empty answer is friendlier
+            return []
 
     def _model_for(self, program: Program) -> tuple[Engine, Database]:
         """The (engine, evaluated model) pair for ``program`` at the current
@@ -182,9 +184,10 @@ class KnowledgeBase:
             self._model_cache.pop(next(iter(self._model_cache)))
         return engine, model
 
-    def satisfied(self, goals: Iterable[str | Atom], program: Program | str | None = None) -> bool:
-        """True when every goal has at least one answer."""
-        return all(self.query(goal, program) for goal in goals)
+    def satisfied(self, goals: Iterable[str | Atom]) -> bool:
+        """True when every goal has at least one answer (one existence probe
+        per goal, stopping at the first goal without one)."""
+        return all(self.query(goal, first=True) for goal in goals)
 
     def snapshot(self) -> dict[str, list[tuple]]:
         """A dictionary snapshot of all metadata facts (for tracing/tests)."""

@@ -9,8 +9,10 @@ knowledge base".
 :class:`Transducer` captures exactly that contract:
 
 - ``input_dependencies`` — a list of Datalog goals; the transducer is
-  *satisfiable* when every goal has at least one answer over the KB
-  (optionally with extra ``dependency_rules`` defining helper views).
+  *satisfiable* when every goal has at least one answer over the KB. The
+  goals are parsed once, and each readiness check is an existence probe
+  (``KnowledgeBase.query(goal, first=True)``): a hash-index lookup on the
+  goal's constants that stops at the first fact unifying with it.
 - ``run`` — the component logic; it reads and writes the KB / catalog and
   reports what it produced.
 - change tracking — the orchestrator re-runs a transducer when the
@@ -27,8 +29,8 @@ from dataclasses import dataclass, field
 from repro.core.errors import DependencyError, TransducerError
 from repro.core.knowledge_base import KnowledgeBase
 from repro.datalog.errors import DatalogError
-from repro.datalog.parser import parse_atom, parse_program
-from repro.datalog.program import Program
+from repro.datalog.parser import parse_atom
+from repro.datalog.terms import Atom
 
 __all__ = ["Activity", "TransducerResult", "Transducer"]
 
@@ -100,7 +102,7 @@ class Transducer(abc.ABC):
     """Base class for all wrangling components.
 
     Subclasses set :attr:`name`, :attr:`activity`, :attr:`input_dependencies`
-    (and optionally :attr:`dependency_rules` / :attr:`priority`) and
+    (and optionally :attr:`watch_predicates` / :attr:`priority`) and
     implement :meth:`run`.
     """
 
@@ -110,8 +112,6 @@ class Transducer(abc.ABC):
     activity: str = Activity.CONTROL
     #: Datalog goals that must all be answerable for this transducer to run.
     input_dependencies: tuple[str, ...] = ()
-    #: Optional extra Datalog rules defining views used by the goals.
-    dependency_rules: str = ""
     #: Additional KB predicates to watch for changes. They are *not*
     #: required for the transducer to be runnable, but a change in any of
     #: them makes the transducer runnable again (e.g. mapping scoring wants
@@ -120,89 +120,47 @@ class Transducer(abc.ABC):
     watch_predicates: tuple[str, ...] = ()
     #: Local priority within an activity; smaller runs earlier.
     priority: int = 100
+    #: The goals last parsed and their atoms (see :meth:`_goals`). A class
+    #: default, so transducers unpickled from older checkpoints have it too.
+    _parsed_goals: tuple[tuple[str, ...], tuple[Atom, ...]] = ((), ())
 
     def __init__(self) -> None:
         if not self.name:
             self.name = type(self).__name__
         self._last_run_revision: int | None = None
         self._runs = 0
-        # Parsed-dependency caches, keyed by the declaration strings so a
-        # subclass that rewrites its dependencies after construction still
-        # gets correct (re-parsed) results.
-        self._dependency_program_cache: tuple[str, Program] | None = None
-        self._input_predicates_cache: tuple[tuple, frozenset[str]] | None = None
-        self._validate_dependencies()
-
-    def _validate_dependencies(self) -> None:
-        try:
-            for goal in self.input_dependencies:
-                parse_atom(goal)
-            if self.dependency_rules:
-                parse_program(self.dependency_rules)
-        except DatalogError as exc:
-            raise DependencyError(
-                f"transducer {self.name!r} has malformed dependencies: {exc}") from exc
+        self._goals()
 
     # -- dependency evaluation --------------------------------------------------
 
-    def dependency_program(self) -> Program:
-        """The helper-rule program used when evaluating dependencies.
-
-        The parse is cached: the orchestrator re-checks dependencies on
-        every step, and re-parsing (plus re-stratifying downstream) the same
-        rule text dominated dependency evaluation before the cache.
-        """
-        rules = self.dependency_rules
-        cached = self._dependency_program_cache
-        if cached is not None and cached[0] == rules:
-            return cached[1]
-        program = Program.parse(rules) if rules else Program()
-        self._dependency_program_cache = (rules, program)
-        return program
+    def _goals(self) -> tuple[Atom, ...]:
+        """The parsed :attr:`input_dependencies`: parsed at construction and
+        again whenever the declaration changes (a subclass may set its goals
+        per instance)."""
+        goals, atoms = self._parsed_goals
+        if goals == tuple(self.input_dependencies):
+            return atoms
+        goals = tuple(self.input_dependencies)
+        try:
+            atoms = tuple(parse_atom(goal) for goal in goals)
+        except DatalogError as exc:
+            raise DependencyError(
+                f"transducer {self.name!r} has malformed dependencies: {exc}") from exc
+        self._parsed_goals = (goals, atoms)
+        return atoms
 
     def input_predicates(self) -> set[str]:
         """KB predicates this transducer reads (for change detection)."""
-        signature = (self.input_dependencies, self.dependency_rules, self.watch_predicates)
-        cached = self._input_predicates_cache
-        if cached is not None and cached[0] == signature:
-            return set(cached[1])
-        predicates = self._compute_input_predicates()
-        self._input_predicates_cache = (signature, frozenset(predicates))
-        return predicates
-
-    def _compute_input_predicates(self) -> set[str]:
-        predicates: set[str] = set()
-        program = self.dependency_program()
-        idb = program.idb_predicates()
-        for goal in self.input_dependencies:
-            atom = parse_atom(goal)
-            if atom.predicate in idb:
-                predicates |= {
-                    body for rule in program.rules_for(atom.predicate)
-                    for body in rule.body_predicates()
-                }
-            else:
-                predicates.add(atom.predicate)
-        # Include every EDB predicate referenced by helper rules.
-        for rule in program.rules:
-            predicates |= {p for p in rule.body_predicates() if p not in idb}
-        predicates |= set(self.watch_predicates)
-        return predicates
+        return {atom.predicate for atom in self._goals()} | set(self.watch_predicates)
 
     def satisfied(self, kb: KnowledgeBase) -> bool:
         """Whether every input dependency has at least one answer."""
-        if not self.input_dependencies:
-            return True
-        program = self.dependency_program()
-        return kb.satisfied(self.input_dependencies, program)
+        return kb.satisfied(self._goals())
 
     def unsatisfied_dependencies(self, kb: KnowledgeBase) -> tuple[str, ...]:
         """The input goals that currently have no answer over ``kb``."""
-        if not self.input_dependencies:
-            return ()
-        program = self.dependency_program()
-        return tuple(goal for goal in self.input_dependencies
-                     if not kb.satisfied([goal], program))
+        return tuple(goal for goal, atom in zip(self.input_dependencies, self._goals())
+                     if not kb.satisfied([atom]))
 
     def inputs_changed_since_last_run(self, kb: KnowledgeBase) -> bool:
         """Whether any input predicate changed after the last execution."""

@@ -8,6 +8,7 @@ as equality test and as assignment when one side is an unbound variable
 from __future__ import annotations
 
 import operator
+from decimal import InvalidOperation
 from typing import Any, Callable, Mapping
 
 from repro.datalog.errors import EvaluationError
@@ -64,8 +65,9 @@ def _ordering(compare: Callable[[Any, Any], Any]) -> Callable[[Any, Any], Any]:
     def test(left: Any, right: Any) -> Any:
         try:
             return compare(left, right)
-        except TypeError:
-            # Incomparable types never satisfy an ordering comparison.
+        except (TypeError, InvalidOperation):
+            # Incomparable types never satisfy an ordering comparison, nor
+            # does a Decimal ordered against a NaN (which signals instead).
             return False
 
     return test

@@ -145,6 +145,24 @@ class Database:
             self._index_insert(predicate, self._relations.get(predicate, ()), {positions: index})
         return index
 
+    def first_match(self, atom: Atom) -> tuple | None:
+        """One tuple that unifies with ``atom``, or None when there is none.
+
+        An existence probe: it looks up the index on the atom's constant
+        positions (scanning the relation when there are none), verifies each
+        candidate as a query does and stops at the first hit, so which
+        matching tuple it returns is unspecified.
+        """
+        rows = self._relations.get(atom.predicate)
+        if not rows:
+            return None
+        positions = tuple(column for column, term in enumerate(atom.terms)
+                          if isinstance(term, Constant))
+        if positions:
+            key = tuple([hash_key(atom.terms[column].value) for column in positions])
+            rows = self.index_for(atom.predicate, positions).get(key, ())
+        return next((row for row in rows if _unify(atom, row, {}) is not None), None)
+
     def indexed_positions(self, predicate: str) -> list[tuple[int, ...]]:
         """Column subsets currently indexed for ``predicate`` (for tests)."""
         return sorted(self._indexes.get(predicate, ()))
@@ -407,13 +425,16 @@ def _ready_filter(pending: list[tuple[int, Literal]], bound: set[str]) -> int | 
 
     Comparisons and negations only filter (or, for ``X = value`` with ``X``
     unbound, assign), so both evaluators run them as early as possible.
+    ``X = X`` assigns nothing: its one unbound variable is on both sides, so
+    it waits until ``X`` is bound.
     """
     for index, (_, literal) in enumerate(pending):
         if literal.is_comparison:
             comparison = literal.comparison
             assert comparison is not None
             unbound = comparison.variables() - bound
-            if not unbound or (comparison.op in ("=", "==") and len(unbound) == 1):
+            if not unbound or (comparison.op in ("=", "==") and len(unbound) == 1
+                               and comparison.left != comparison.right):
                 return index
         elif literal.is_negated_atom and literal.variables() <= bound:
             return index

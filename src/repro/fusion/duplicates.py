@@ -16,6 +16,7 @@ from typing import Iterable, Iterator, Sequence
 
 from repro.fusion.blocking import candidate_blocks
 from repro.matching.similarity import jaro_winkler_similarity
+from repro.relational.schema import Schema
 from repro.relational.table import Row, Table
 from repro.relational.types import is_null
 
@@ -72,6 +73,12 @@ class DuplicateDetectorConfig:
 
 class DuplicateDetector:
     """Finds duplicate row pairs within one table."""
+
+    #: The last (left schema, right schema) pair scored and the (left,
+    #: right) positions of the comparison attributes both hold. Holding the
+    #: schemas keeps the identity compare sound. A class default, so
+    #: detectors unpickled from older checkpoints have it too.
+    _positions: tuple = (None, None, ())
 
     def __init__(self, config: DuplicateDetectorConfig | None = None):
         self._config = config or DuplicateDetectorConfig()
@@ -154,15 +161,16 @@ class DuplicateDetector:
     def pair_similarity(self, left: Row, right: Row) -> float:
         """Mean per-attribute similarity over the comparison attributes.
 
-        Attributes missing from the schema are skipped; attributes where
+        Attributes missing from either schema are skipped; attributes where
         either side is NULL contribute a neutral 0.5 (absence of evidence).
         """
-        config = self._config
+        left_schema, right_schema, positions = self._positions
+        if left_schema is not left.schema or right_schema is not right.schema:
+            positions = self._comparison_positions(left.schema, right.schema)
+        left_values, right_values = left.values, right.values
         scores = []
-        for attribute in config.comparison_attributes:
-            if attribute not in left.schema or attribute not in right.schema:
-                continue
-            left_value, right_value = left.get(attribute), right.get(attribute)
+        for left_position, right_position in positions:
+            left_value, right_value = left_values[left_position], right_values[right_position]
             if is_null(left_value) or is_null(right_value):
                 scores.append(0.5)
                 continue
@@ -170,6 +178,15 @@ class DuplicateDetector:
         if not scores:
             return 0.0
         return sum(scores) / len(scores)
+
+    def _comparison_positions(self, left: Schema, right: Schema) -> tuple[tuple[int, int], ...]:
+        """The (left, right) positions of the comparison attributes that
+        both schemas hold, in configuration order; remembered for the pair."""
+        positions = tuple((left.position(name), right.position(name))
+                          for name in self._config.comparison_attributes
+                          if name in left and name in right)
+        self._positions = (left, right, positions)
+        return positions
 
     def _value_similarity(self, left, right) -> float:
         if _is_number(left) and _is_number(right):

@@ -58,19 +58,20 @@ class InstanceMatcher:
         """
         relation = target_relation or target_instances.name
         matches = MatchSet()
+        targets = [(attribute.name, self._sample(target_instances.column(attribute.name)))
+                   for attribute in target_instances.schema.attributes]
         for source_attribute in source.schema.attributes:
             source_values = self._sample(source.column(source_attribute.name))
             if not source_values:
                 continue
-            for target_attribute in target_instances.schema.attributes:
-                target_values = self._sample(target_instances.column(target_attribute.name))
+            for target_name, target_values in targets:
                 if not target_values:
                     continue
                 score = self.column_similarity(source_values, target_values)
                 if score >= self._config.threshold:
                     matches.add(Correspondence(
                         source.name, source_attribute.name,
-                        relation, target_attribute.name, round(score, 6)))
+                        relation, target_name, round(score, 6)))
         return matches
 
     def column_similarity(

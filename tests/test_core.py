@@ -393,17 +393,13 @@ class TestOrchestrator:
 
 
 class TestSchedulerEquivalence:
-    """``can_run`` checks the revision compare before the dependency query;
-    the runnable set must be what the query-first order gives."""
+    """``can_run`` checks the revision compare before the dependency probe;
+    the runnable set must be what the query-first order gives, with each
+    goal answered in full rather than probed."""
 
-    def test_bootstrap_runnable_sets_match_the_reference(self, monkeypatch):
-        from repro.scenarios.synth import SynthConfig
-        from repro.service.session import WranglingSession
-
-        session = WranglingSession.from_scenario(
-            SynthConfig(family="product_catalog", entities=60, seed=3)
-        )
-        wrangler = session.wrangler
+    def run_to_quiescence(self, monkeypatch, wrangler) -> tuple[int, int]:
+        """Step the orchestrator, comparing every runnable set with the
+        reference; returns the steps taken and the unchanged checks made."""
         kb = wrangler.kb
         registry = wrangler.orchestrator.registry.all()
         queries = []
@@ -416,7 +412,9 @@ class TestSchedulerEquivalence:
         steps = unchanged_checks = 0
         while True:
             reference = [
-                t for t in registry if t.satisfied(kb) and t.inputs_changed_since_last_run(kb)
+                t for t in registry
+                if all(kb.query(goal) for goal in t.input_dependencies)
+                and t.inputs_changed_since_last_run(kb)
             ]
             assert wrangler.orchestrator.runnable() == reference
             with monkeypatch.context() as patch:
@@ -427,9 +425,36 @@ class TestSchedulerEquivalence:
                         unchanged_checks += 1
             assert queries == []
             if wrangler.step() is None:
-                break
+                return steps, unchanged_checks
             steps += 1
+
+    def test_bootstrap_runnable_sets_match_the_reference(self, monkeypatch):
+        from repro.scenarios.synth import SynthConfig
+        from repro.service.session import WranglingSession
+
+        session = WranglingSession.from_scenario(
+            SynthConfig(family="product_catalog", entities=60, seed=3)
+        )
+        steps, unchanged_checks = self.run_to_quiescence(monkeypatch, session.wrangler)
         assert steps > 10
+        assert unchanged_checks > steps
+
+    def test_feedback_round_runnable_sets_match_the_reference(self, monkeypatch):
+        from repro.feedback.annotations import simulate_feedback
+        from repro.scenarios.synth import SynthConfig
+        from repro.service.session import WranglingSession
+
+        session = WranglingSession.from_scenario(
+            SynthConfig(family="shipment_tracking", entities=60, seed=1)
+        )
+        wrangler = session.wrangler
+        assert self.run_to_quiescence(monkeypatch, wrangler)[0] > 10
+        annotations = simulate_feedback(
+            session.result(), session.scenario.ground_truth, session.scenario.evaluation_key,
+            budget=8, seed=1, strategy="targeted")
+        assert wrangler.add_feedback(annotations) > 0
+        steps, unchanged_checks = self.run_to_quiescence(monkeypatch, wrangler)
+        assert steps > 0
         assert unchanged_checks > steps
 
 

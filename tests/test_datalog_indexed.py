@@ -12,13 +12,15 @@ match, ``True`` never matches ``1``) in both probe and scan paths.
 
 from __future__ import annotations
 
-from decimal import Decimal, InvalidOperation, localcontext
+from decimal import Decimal
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.knowledge_base import KnowledgeBase
 from repro.datalog import Database, Engine, EvaluationError, Program
+from repro.datalog.builtins import COMPARISONS
 from repro.datalog.engine import _unify
 from repro.datalog.stratify import evaluation_order, stratify
 from repro.datalog.terms import (
@@ -315,10 +317,28 @@ class TestPlannerAndEscapeHatch:
         assert model.relation("p") == {(2, 1), (3, 1)}
 
 
+class TestComparisonEdgeCases:
+    """Comparisons where both evaluators used to raise."""
+
+    @pytest.mark.parametrize("indexed", [True, False])
+    def test_self_equality_waits_for_its_variable(self, indexed):
+        """``X = X`` is a test, not an assignment, even before ``X`` is bound."""
+        model = Engine(Program.parse("p(1). q(X) :- X = X, p(X)."), indexed=indexed).run()
+        assert model.relation("q") == {(1,)}
+
+    @pytest.mark.parametrize("indexed", [True, False])
+    def test_decimal_ordered_against_nan_is_false(self, indexed):
+        for op in ("<", "<=", ">", ">="):
+            assert COMPARISONS[op](Decimal("1.5"), NAN) is False
+            assert COMPARISONS[op](NAN, Decimal("1.5")) is False
+        program = Program.parse("r(X, Y) :- s(X), t(Y), X < Y. u(X, Y) :- s(X), t(Y), X != Y.")
+        model = Engine(program, indexed=indexed).run({"s": [(Decimal("1.5"),)], "t": [(NAN,)]})
+        assert model.count("r") == 0
+        assert model.count("u") == 1
+
+
 class TestKnowledgeBaseModelCache:
     def test_cached_model_invalidated_on_change(self):
-        from repro.core.knowledge_base import KnowledgeBase
-
         kb = KnowledgeBase()
         kb.assert_fact("edge", "a", "b")
         rules = "path(X, Y) :- edge(X, Y). path(X, Z) :- path(X, Y), edge(Y, Z)."
@@ -331,8 +351,6 @@ class TestKnowledgeBaseModelCache:
         assert kb.query("path(X, Y)", rules) == [("a", "b")]
 
     def test_empty_program_queries_share_live_database(self):
-        from repro.core.knowledge_base import KnowledgeBase
-
         kb = KnowledgeBase()
         kb.assert_fact("p", 1)
         assert kb.query("p(X)") == [(1,)]
@@ -390,9 +408,6 @@ def _rule(draw, head: str, head_arity: int, positive: list, negatable: list,
         else:
             op = draw(st.sampled_from(["<", "<=", ">", ">=", "!=", "=", "=="]))
             left, right = value(), value()
-            if op in ("=", "==") and isinstance(left, Variable) and left == right:
-                # Both evaluators try `X = X` before X is bound and raise.
-                right = Constant(draw(st.sampled_from(values)))
             body.append(Literal(comparison=Comparison(left, op, right)))
     if negatable and draw(st.booleans()):
         predicate, arity = draw(st.sampled_from(negatable))
@@ -479,16 +494,55 @@ def test_compiled_plans_equal_reference_evaluator(program, edb):
     assert order.index("q3") < order.index("q2")
     assert stratify(program)["q3"] == stratify(program)["q2"]
     compiled, reference = Engine(program), Engine(program, indexed=False)
-    with localcontext() as context:
-        # Ordering a Decimal against NaN signals InvalidOperation; untrapped,
-        # the comparison is simply false, as for incomparable types.
-        context.traps[InvalidOperation] = False
-        compiled_model, reference_model = compiled.run(edb), reference.run(edb)
-        head = program.rules[-1].head
-        goal = Atom(head.predicate, [Variable(f"A{i}") for i in range(head.arity)])
-        compiled_answers, reference_answers = compiled.query(goal, edb), reference.query(goal, edb)
+    compiled_model, reference_model = compiled.run(edb), reference.run(edb)
+    head = program.rules[-1].head
+    goal = Atom(head.predicate, [Variable(f"A{i}") for i in range(head.arity)])
+    compiled_answers, reference_answers = compiled.query(goal, edb), reference.query(goal, edb)
     assert compiled_model.predicates() == reference_model.predicates()
     for predicate in compiled_model.predicates():
         assert compiled_model.relation(predicate) == reference_model.relation(predicate)
     assert len(compiled_answers) == len(reference_answers)
     assert set(compiled_answers) == set(reference_answers)
+
+
+# -- hypothesis: the existence probe answers as the full query does -----------
+
+#: Constants a readiness probe must match exactly as a query does: booleans
+#: never equal numbers, 1 equals 1.0, NaN equals nothing, and strings are
+#: compared as they are (no case folding or trimming).
+PROBE_VALUES = [0, 1, 1.0, True, False, "a", "A ", None, NAN]
+PROBE_TERMS = st.one_of(st.sampled_from(PROBE_VALUES).map(Constant),
+                        st.sampled_from(["X", "X", "Y", "_"]).map(Variable))
+PROBE_ROWS = st.integers(0, 3).flatmap(
+    lambda arity: st.tuples(*[st.sampled_from(PROBE_VALUES)] * arity))
+PROBE_GOALS = st.builds(
+    Atom, st.sampled_from(["p", "q", "unknown"]),
+    st.integers(0, 3).flatmap(lambda arity: st.tuples(*[PROBE_TERMS] * arity)))
+PROBE_OPERATIONS = st.lists(st.one_of(
+    st.tuples(st.just("assert"), st.sampled_from(["p", "q"]), PROBE_ROWS),
+    st.tuples(st.just("retract"), st.sampled_from(["p", "q"]), st.integers(0, 20)),
+    st.tuples(st.just("check"), st.lists(PROBE_GOALS, min_size=1, max_size=6), st.just(None)),
+), max_size=40)
+
+
+@given(PROBE_OPERATIONS)
+@settings(max_examples=300, deadline=None)
+def test_existence_probe_equals_full_answers(operations):
+    """``kb.satisfied([goal])`` is ``bool(kb.query(goal))``, and the probe's
+    answer is one of the full answers, whatever indexes earlier probes built:
+    asserts extend them and retractions drop them."""
+    kb = KnowledgeBase()
+    for operation, subject, argument in operations:
+        if operation == "assert":
+            kb.assert_fact(subject, *argument)
+        elif operation == "retract":
+            rows = sorted(kb.database.relation(subject), key=repr)
+            if rows:
+                kb.retract_fact(subject, *rows[argument % len(rows)])
+        else:
+            for goal in subject:
+                full = kb.query(goal)
+                probe = kb.query(goal, first=True)
+                assert kb.satisfied([goal]) == bool(full)
+                assert len(probe) == min(len(full), 1)
+                assert all(any(row is answer for answer in full) for row in probe)

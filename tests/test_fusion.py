@@ -24,6 +24,7 @@ from repro.fusion import (
     cluster_pairs,
 )
 from repro.relational import Attribute, DataType, Schema, Table
+from repro.relational.types import is_null
 
 LISTING_SCHEMA = Schema("property_result", [
     Attribute("street", DataType.STRING),
@@ -69,6 +70,19 @@ class TestBlocking:
         assert candidate_blocks(table, [], max_block_size=4) == [list(range(9))]
 
 
+def oracle_pair_similarity(detector: DuplicateDetector, left: dict, right: dict) -> float:
+    """``pair_similarity`` over dict rows: each comparison attribute both
+    rows hold, looked up by name."""
+    scores = []
+    for attribute in detector.config.comparison_attributes:
+        if attribute in left and attribute in right:
+            if is_null(left[attribute]) or is_null(right[attribute]):
+                scores.append(0.5)
+            else:
+                scores.append(detector._value_similarity(left[attribute], right[attribute]))
+    return sum(scores) / len(scores) if scores else 0.0
+
+
 class TestDuplicateDetector:
     def test_finds_true_duplicate_only(self):
         pairs = DuplicateDetector().detect(listing_table())
@@ -86,6 +100,29 @@ class TestDuplicateDetector:
         rows = table.rows()
         score = DuplicateDetector().pair_similarity(rows[0], rows[1])
         assert 0.5 < score < 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_pair_similarity_across_schemas_equals_dict_oracle(self, data):
+        """Rows of two layouts (different column orders, attributes on one
+        side only) score as a by-name comparison of dict rows does, whichever
+        schema pair the detector scored before."""
+        detector = DuplicateDetector()
+        names = ["street", "price", "bedrooms", "type", "description", "postcode"]
+        values = st.sampled_from(["Oak Street", "oak street ", "Elm Road", "", None, 3, 3.0,
+                                  4, 250000.0, 251000, True, math.nan])
+        rows = []
+        for side in ("left", "right"):
+            layout = data.draw(st.permutations(names).flatmap(
+                lambda order: st.integers(1, len(order)).map(lambda n: order[:n])))
+            schema = Schema(side, [Attribute(name, DataType.ANY) for name in layout])
+            table = Table(schema, [tuple(data.draw(values) for _ in layout)],
+                          coerce=False, validate=False)
+            rows.append(table.rows()[0])
+        left, right = rows
+        for first, second in ((left, right), (right, left), (left, left), (left, right)):
+            expected = oracle_pair_similarity(detector, first.to_dict(), second.to_dict())
+            assert detector.pair_similarity(first, second) == expected
 
     def test_candidates_skip_pairs_outside_the_price_window(self):
         # Price is the only comparison attribute: a pair reaches 0.92 only
