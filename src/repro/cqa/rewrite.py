@@ -6,10 +6,12 @@ base tables yields exactly the certain answers — no repair is ever
 materialised. Per candidate answer the program works block-at-a-time, where
 a block is a group of key-equal tuples of a keyed relation:
 
-- ``_cqa_cand`` — the naive answers (certain answers are a subset).
-- ``_cqa_{i}_anchor`` — for each atom, the blocks that can be reached for a
-  candidate answer: the full join for roots, the parent's matching rows
-  joined to the child's key for children.
+- ``_cqa_{i}_anchor`` — for each atom, the blocks to check for a candidate
+  answer: the full join for roots (its head values are the candidates), and
+  the parent's matching rows joined to the child's pattern for children. A
+  keyed child's block is thus anchored only when one of its tuples carries
+  the candidate's head values and the atom's constants; a block without
+  such a tuple can never be good, so leaving it out changes no answer.
 - ``_cqa_{i}_match`` / ``_cqa_{i}_bad`` / ``_cqa_{i}_good`` — a block is
   *good* when every tuple in it matches the atom's pattern and recursively
   passes all child checks; a single failing tuple makes it *bad*, because a
@@ -24,12 +26,15 @@ block answers under any repair choice, and if no block is fully good an
 adversarial repair picks one failing tuple per block, which is consistent
 across the forest because the query is self-join-free.
 
-NULL key values group like any other value (matching the enumeration
-fallback and the brute-force oracle), so a source that lacks the key
-attribute entirely melts into a single giant block — and the block-mate
-join in ``bad`` is quadratic in block size. Such instances are degenerate
-for CQA (their certain answers are near-vacuous anyway); prefer keys that
-actually discriminate.
+Cost: each anchor holds at most the join of the patterns along its root
+path, and ``bad`` scans every tuple of each anchored block, so the work is
+the matching rows times the size of their blocks. The quadratic case that
+remains is a large block whose tuples carry many candidates, as every block
+at a root does. NULL key values group like any other value (matching the
+enumeration fallback and the brute-force oracle), so a source that lacks
+the key attribute entirely melts into one NULL block, and every candidate
+it holds scans the whole block in ``bad``. Prefer keys that actually
+discriminate.
 """
 
 from __future__ import annotations
@@ -58,12 +63,11 @@ class RewriteError(ValueError):
 
 @dataclass(frozen=True)
 class CompiledQuery:
-    """A certain-answer datalog program with its goal atoms."""
+    """A certain-answer datalog program with its goal atom."""
 
     plan: RewritePlan
     program: Program
     goal: Atom
-    candidate_goal: Atom
 
     @property
     def query(self) -> ConjunctiveQuery:
@@ -200,10 +204,6 @@ def compile_certain(
             tuple(Variable(n) for n in entry.anchor_args) + tuple(head_vars),
         )
 
-    rules.append(
-        Rule(Atom(_predicate(None, "cand"), tuple(head_vars)), list(all_patterns))
-    )
-
     for node in plan.nodes:
         entry = info[node.index]
         if node.parent is None:
@@ -214,7 +214,7 @@ def compile_certain(
                 Literal(atom=info[node.parent].pattern_atom()),
             ]
             if node.keyed:
-                body.append(Literal(atom=entry.key_scan_atom()))
+                body.append(Literal(atom=entry.pattern_atom()))
             rules.append(Rule(anchor_atom(node.index), body))
 
         child_checks = [Literal(atom=check_atom(child)) for child in node.children]
@@ -291,7 +291,7 @@ def compile_certain(
                 )
             )
 
-    certain_body = [Literal(atom=Atom(_predicate(None, "cand"), tuple(head_vars)))]
+    certain_body: list[Literal] = []
     for root in plan.roots:
         root_head = Atom(_predicate(root.index, "root"), tuple(head_vars))
         rules.append(Rule(root_head, [Literal(atom=check_atom(root.index))]))
@@ -299,12 +299,7 @@ def compile_certain(
     goal = Atom(_predicate(None, "certain"), tuple(head_vars))
     rules.append(Rule(goal, certain_body))
 
-    return CompiledQuery(
-        plan=plan,
-        program=Program(tuple(rules)),
-        goal=goal,
-        candidate_goal=Atom(_predicate(None, "cand"), tuple(head_vars)),
-    )
+    return CompiledQuery(plan=plan, program=Program(tuple(rules)), goal=goal)
 
 
 # -- evaluation ----------------------------------------------------------------
