@@ -379,10 +379,6 @@ class IncrementalWrangler:
             old_rows, new_rows = rewrite or (None, ())
             if patch_relation_stats(kb, relation, old_rows, new_rows, contexts):
                 outcome.metrics_patched.append(relation)
-        # Stamped after the assertions: the stash exactly reflects the
-        # patched tables as the engine hands back control, which is what
-        # lets Wrangler.evaluate serve the report without a rescan.
-        stash.synced_revision = kb.revision
         return True
 
     # -- fallback -------------------------------------------------------------

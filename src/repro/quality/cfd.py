@@ -16,7 +16,9 @@ values, built by :mod:`repro.quality.cfd_learning`).
 :class:`CFDCheck` is the one evaluation of a CFD: bound to a row layout, it
 tells whether a row tuple is in scope, what its RHS should be and whether
 it satisfies the dependency. Consistency statistics count with it and the
-repairer rewrites with it.
+repairer rewrites with it, both through :func:`group_checks`: the checks
+over one LHS attribute tuple share each row's NULL test and normalised LHS
+key.
 """
 
 from __future__ import annotations
@@ -24,10 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
-from repro.relational.keys import normalise_key_tuple
+from repro.relational.keys import normalise_key
 from repro.relational.types import is_null
 
-__all__ = ["WILDCARD", "CFD", "CFDCheck"]
+__all__ = ["WILDCARD", "CFD", "CFDCheck", "CFDGroup", "group_checks"]
 
 #: Pattern wildcard.
 WILDCARD = "_"
@@ -96,10 +98,22 @@ class CFDCheck:
     Attribute positions and the LHS pattern constants are resolved once per
     (CFD, layout). A row is in scope when the layout has every LHS
     attribute, none of those values is NULL and each LHS constant matches.
-    :meth:`expected` and :meth:`satisfied` take a row already in scope.
+    :meth:`expected_at` and :meth:`satisfied_at` take a row already in scope
+    plus its normalised LHS key (:meth:`key`), which they read only when the
+    check :attr:`reads_witness`: a :class:`CFDGroup` computes that key once
+    for every check over the same LHS. :meth:`applies`, :meth:`expected`
+    and :meth:`satisfied` are the same evaluation for a single row.
     """
 
-    __slots__ = ("cfd", "witness", "rhs_position", "_lhs", "_constants", "_constant")
+    __slots__ = (
+        "cfd",
+        "witness",
+        "rhs_position",
+        "lhs_positions",
+        "reads_witness",
+        "_constants",
+        "_constant",
+    )
 
     def __init__(
         self,
@@ -114,7 +128,12 @@ class CFDCheck:
         self.witness = witness
         #: Position of the RHS attribute; None when the layout lacks it.
         self.rhs_position = index.get(cfd.rhs)
-        self._lhs = None if None in lhs else lhs
+        #: Positions of the LHS attributes; None when the layout lacks one
+        #: (then no row is in scope).
+        self.lhs_positions = None if None in lhs else lhs
+        #: Whether the expected value is looked up by the LHS key (a
+        #: variable CFD with a witness).
+        self.reads_witness = not cfd.is_constant and witness is not None
         self._constants = tuple(
             (index.get(attribute), constant)
             for attribute, constant in cfd.lhs_pattern
@@ -122,39 +141,99 @@ class CFDCheck:
         )
         self._constant = cfd.is_constant
 
-    def applies(self, values: Sequence[Any]) -> bool:
-        """Whether the row is in scope (rows NULL on the LHS never are)."""
-        if self._lhs is None:
-            return False
-        for position in self._lhs:
-            if is_null(values[position]):
-                return False
+    def matches(self, values: Sequence[Any]) -> bool:
+        """Whether each LHS constant of the pattern matches (LHS not NULL)."""
         for position, constant in self._constants:
             if not _values_equal(values[position], constant):
                 return False
         return True
 
-    def expected(self, values: Sequence[Any]) -> Any:
+    def key(self, values: Sequence[Any]) -> tuple:
+        """The row's normalised LHS values, the key its witness is read by."""
+        return _lhs_key(values, self.lhs_positions)
+
+    def expected_at(self, key: tuple | None) -> Any:
         """The value the RHS should have: the constant pattern, or the
-        witness's value for the row's LHS (None when unknown)."""
+        witness's value for the LHS ``key`` (None when unknown)."""
         if self._constant:
             return self.cfd.rhs_pattern
         if self.witness is None:
             return None
-        return self.witness.get(normalise_key_tuple(values[position] for position in self._lhs))
+        return self.witness.get(key)
 
-    def satisfied(self, values: Sequence[Any]) -> bool:
-        """Whether the row's RHS equals :meth:`expected`.
+    def satisfied_at(self, values: Sequence[Any], key: tuple | None) -> bool:
+        """Whether the row's RHS equals :meth:`expected_at` for ``key``.
 
         A variable CFD holds where the witness knows no value; a constant
         one never holds with a NULL pattern. A layout without the RHS
         attribute reads it as NULL.
         """
-        expected = self.expected(values)
+        expected = self.expected_at(key)
         if expected is None and not self._constant:
             return True
         position = self.rhs_position
         return _values_equal(None if position is None else values[position], expected)
+
+    def applies(self, values: Sequence[Any]) -> bool:
+        """Whether the row is in scope (rows NULL on the LHS never are)."""
+        lhs = self.lhs_positions
+        return lhs is not None and not _lhs_null(values, lhs) and self.matches(values)
+
+    def expected(self, values: Sequence[Any]) -> Any:
+        """:meth:`expected_at` for a row in scope."""
+        return self.expected_at(self.key(values) if self.reads_witness else None)
+
+    def satisfied(self, values: Sequence[Any]) -> bool:
+        """:meth:`satisfied_at` for a row in scope."""
+        return self.satisfied_at(values, self.key(values) if self.reads_witness else None)
+
+
+class CFDGroup:
+    """The checks of one row layout whose LHS reads the same positions.
+
+    CFDs learned from one context table share LHS attribute tuples, so a
+    row is NULL-tested once per group, and its normalised LHS key is
+    computed once and shared by every check of the group that reads a
+    witness.
+    """
+
+    __slots__ = ("positions", "members")
+
+    def __init__(self, positions: tuple[int, ...], members: tuple[tuple[int, CFDCheck], ...]):
+        #: The LHS positions, in the CFDs' LHS attribute order.
+        self.positions = positions
+        #: (index among the grouped checks, check) pairs, in index order.
+        self.members = members
+
+    def null(self, values: Sequence[Any]) -> bool:
+        """Whether one of the row's LHS values is NULL (no check applies)."""
+        return _lhs_null(values, self.positions)
+
+    def key(self, values: Sequence[Any]) -> tuple:
+        """The row's normalised LHS values (:meth:`CFDCheck.key`)."""
+        return _lhs_key(values, self.positions)
+
+
+def group_checks(checks: Sequence[CFDCheck]) -> tuple[CFDGroup, ...]:
+    """The checks grouped by LHS positions, in the order of each group's first
+    check. A check whose layout lacks an LHS attribute never applies and is
+    left out."""
+    groups: dict[tuple[int, ...], list[tuple[int, CFDCheck]]] = {}
+    for index, check in enumerate(checks):
+        if check.lhs_positions is not None:
+            groups.setdefault(check.lhs_positions, []).append((index, check))
+    return tuple(CFDGroup(positions, tuple(members)) for positions, members in groups.items())
+
+
+def _lhs_null(values: Sequence[Any], positions: tuple[int, ...]) -> bool:
+    for position in positions:
+        if is_null(values[position]):
+            return True
+    return False
+
+
+def _lhs_key(values: Sequence[Any], positions: tuple[int, ...]) -> tuple:
+    return tuple([normalise_key(values[position]) for position in positions])
 
 
 def _values_equal(left: Any, right: Any) -> bool:

@@ -19,11 +19,16 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
 from repro.provenance.model import OPERATOR_REPAIR, ProvenanceStore
-from repro.quality.cfd import CFD, CFDCheck, _values_equal
+from repro.quality.cfd import CFD, CFDCheck, _values_equal, group_checks
 from repro.relational.table import Table
 from repro.relational.types import is_null
 
 __all__ = ["RepairAction", "RepairResult", "CFDRepairer"]
+
+#: A row's LHS state in a group, besides its normalised key: a NULL LHS
+#: value, or none NULL with the key not computed yet.
+_NULL = object()
+_IN_SCOPE = object()
 
 
 @dataclass(frozen=True)
@@ -79,27 +84,49 @@ class CFDRepairer:
         CFDs are applied in decreasing confidence order, each through its
         :class:`~repro.quality.cfd.CFDCheck` over the rows as rewritten so
         far; once a cell has been repaired by one CFD it is not touched again
-        by a weaker one. With a
+        by a weaker one. The checks over one LHS share each row's NULL test
+        and normalised LHS key (:func:`~repro.quality.cfd.group_checks`);
+        when a CFD rewrites a cell that a group's LHS reads, that row's key
+        in the group is computed again for the weaker CFDs. With a
         provenance store each repaired cell records a lineage override: the
         current value no longer comes from the mapped source row but from
         the CFD (and its witness reference data) that rewrote it.
         """
         witnesses = witnesses or {}
         ordered = sorted(cfds, key=lambda cfd: (-cfd.confidence, -cfd.support, cfd.cfd_id))
-        rows = [list(values) for values in table.tuples()]
         names = table.schema.attribute_names
-        actions: list[RepairAction] = []
-        touched: set[tuple[int, str]] = set()
-
-        for cfd in ordered:
-            check = CFDCheck(cfd, names, witnesses.get(cfd.cfd_id))
+        checks = [CFDCheck(cfd, names, witnesses.get(cfd.cfd_id)) for cfd in ordered]
+        groups = group_checks(checks)
+        group_of = {index: group for group in groups for index, _check in group.members}
+        # The checks that can rewrite a cell, in confidence order, each with
+        # its group and the groups whose LHS reads the cell it rewrites.
+        plan = []
+        for index, check in enumerate(checks):
             rhs_position = check.rhs_position
-            if rhs_position is None:
-                continue
-            for row_index, values in enumerate(rows):
-                if (row_index, cfd.rhs) in touched or not check.applies(values):
+            if index in group_of and rhs_position is not None:
+                readers = [group for group in groups if rhs_position in group.positions]
+                plan.append((index, check, group_of[index], readers))
+        # Repairs are row-local: each row goes through the checks in
+        # confidence order, and the actions are reported check by check.
+        found: list[list[RepairAction]] = [[] for _ in checks]
+        rows = table.tuples()
+        for row_index, values in enumerate(rows):
+            # Group → _NULL, _IN_SCOPE or the row's normalised LHS key; a
+            # rewrite of a cell the group's LHS reads drops it.
+            lhs_of: dict = {}
+            rewritten: set[int] = set()
+            for index, check, group, readers in plan:
+                rhs_position = check.rhs_position
+                if rhs_position in rewritten:
                     continue
-                expected = check.expected(values)
+                lhs = lhs_of.get(group)
+                if lhs is None:
+                    lhs = lhs_of[group] = _NULL if group.null(values) else _IN_SCOPE
+                if lhs is _NULL or not check.matches(values):
+                    continue
+                if lhs is _IN_SCOPE and check.reads_witness:
+                    lhs = lhs_of[group] = group.key(values)
+                expected = check.expected_at(lhs)
                 if is_null(expected):
                     continue
                 current = values[rhs_position]
@@ -109,20 +136,27 @@ class CFDRepairer:
                     kind = "violation"
                 else:
                     continue
+                if not rewritten:
+                    values = list(values)
                 values[rhs_position] = expected
-                touched.add((row_index, cfd.rhs))
-                actions.append(
+                rewritten.add(rhs_position)
+                for reader in readers:
+                    lhs_of.pop(reader, None)
+                found[index].append(
                     RepairAction(
                         relation=table.name,
                         row_index=row_index,
-                        attribute=cfd.rhs,
+                        attribute=check.cfd.rhs,
                         old_value=current,
                         new_value=expected,
-                        cfd_id=cfd.cfd_id,
+                        cfd_id=check.cfd.cfd_id,
                         kind=kind,
                     )
                 )
-        repaired = table.replace_rows([tuple(values) for values in rows])
+            if rewritten:
+                rows[row_index] = tuple(values)
+        actions = [action for bucket in found for action in bucket]
+        repaired = table.replace_rows(rows)
         if provenance is not None and provenance.enabled and actions:
             row_keys = table.row_keys()
             for action in actions:

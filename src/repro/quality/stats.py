@@ -35,10 +35,11 @@ and turns it into the :func:`build_stats` arguments for a row layout.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from repro.quality.cfd import CFD, CFDCheck
-from repro.relational.keys import normalise_key_tuple
+from repro.quality.cfd import CFD, CFDCheck, group_checks
+from repro.relational.keys import normalise_key, normalise_key_tuple
 from repro.relational.table import Table
 from repro.relational.types import is_null
 
@@ -101,6 +102,28 @@ def _positions(row_names: Sequence[str], wanted: Iterable[str]) -> tuple[int | N
     """
     index = {name: position for position, name in enumerate(row_names)}
     return tuple(index.get(name) for name in wanted)
+
+
+def _key_cells(values: Sequence[Any], positions: Iterable[int]) -> list[Any]:
+    """The row's cells, those at ``positions`` normalised as keys.
+
+    The key-reading accumulators (accuracy's reference key, relevance's
+    master key, consistency's CFD left-hand sides) read their keys from
+    these cells, so :meth:`QualityStats.add_row` normalises each key cell
+    of a row once for all three.
+    """
+    cells = list(values)
+    for position in positions:
+        cells[position] = normalise_key(cells[position])
+    return cells
+
+
+def _key_reader(positions: tuple[int, ...]) -> Callable[[Sequence[Any]], tuple]:
+    """A function reading the cells at ``positions`` as one key tuple."""
+    if len(positions) == 1:
+        (position,) = positions
+        return lambda cells: (cells[position],)
+    return itemgetter(*positions) if positions else lambda cells: ()
 
 
 class _Mismatch(ValueError):
@@ -205,7 +228,13 @@ class AccuracyStats:
     correct: int = 0
 
     def __post_init__(self) -> None:
-        self._key_positions = _positions(self.row_names, self.key)
+        positions = _positions(self.row_names, self.key)
+        # Nothing compared, or a key attribute the layout lacks (a NULL key
+        # part, which the index never holds): no row contributes.
+        self._inert = not self.names or None in positions
+        #: Positions of the key cells a row is looked up by.
+        self.key_positions: tuple[int, ...] = () if self._inert else positions
+        self._read_key = _key_reader(self.key_positions)
         self._name_positions = _positions(self.row_names, self.names)
 
     def __getstate__(self):
@@ -256,17 +285,17 @@ class AccuracyStats:
             reference_index = build_reference_index(reference, key) if names else {}
         return cls(row_names=row_names, key=key, names=names, reference_index=reference_index)
 
-    def _contribution(self, values: Sequence[Any]) -> tuple[int, int]:
-        """(checked, correct) cells this row contributes."""
-        index_key = normalise_key_tuple(
-            values[position] if position is not None else None
-            for position in self._key_positions
-        )
-        if any(part is None for part in index_key):
-            return 0, 0
+    def _count(self, values: Sequence[Any], cells: Sequence[Any], sign: int) -> None:
+        """Add (``sign`` 1) or retract (-1) the checked and correct cells of
+        a row, whose key cells (:func:`_key_cells`) are normalised."""
+        if self._inert:
+            return
+        index_key = self._read_key(cells)
+        if None in index_key:
+            return
         expected_row = self.reference_index.get(index_key)
         if expected_row is None:
-            return 0, 0
+            return
         checked = 0
         correct = 0
         for name, position in zip(self.names, self._name_positions):
@@ -280,19 +309,16 @@ class AccuracyStats:
             checked += 1
             if cell_equal(actual, expected):
                 correct += 1
-        return checked, correct
+        self.checked += sign * checked
+        self.correct += sign * correct
 
     def add_row(self, values: Sequence[Any]) -> None:
         """Count one row's contribution."""
-        checked, correct = self._contribution(values)
-        self.checked += checked
-        self.correct += correct
+        self._count(values, _key_cells(values, self.key_positions), 1)
 
     def remove_row(self, values: Sequence[Any]) -> None:
         """Retract one previously added row's contribution."""
-        checked, correct = self._contribution(values)
-        self.checked -= checked
-        self.correct -= correct
+        self._count(values, _key_cells(values, self.key_positions), -1)
 
     def merge(self, other: "AccuracyStats") -> None:
         """Fold another shard's counters into this one."""
@@ -318,7 +344,10 @@ class ConsistencyStats:
     Each CFD is evaluated by its :class:`~repro.quality.cfd.CFDCheck` over
     ``row_names``, the check the repairer runs too: a row in a CFD's scope
     adds a checkable cell, and a violation when it does not satisfy the
-    CFD. The checks are rebuilt from the pickled fields on load.
+    CFD. The checks are grouped by LHS (:func:`~repro.quality.cfd.group_checks`),
+    so a row's LHS key over one attribute tuple is read and NULL-tested once
+    for every CFD over that tuple. The checks are rebuilt from the pickled
+    fields on load.
     """
 
     row_names: tuple[str, ...]
@@ -336,9 +365,15 @@ class ConsistencyStats:
             self.checkable = [0] * len(self.cfds)
         if not self.violations:
             self.violations = [0] * len(self.cfds)
-        self._checks = tuple(
+        checks = [
             CFDCheck(cfd, self.row_names, self.witnesses.get(cfd.cfd_id)) for cfd in self.cfds
+        ]
+        groups = group_checks(checks)
+        #: Positions of the LHS cells the checks read.
+        self.key_positions = tuple(
+            sorted({position for group in groups for position in group.positions})
         )
+        self._groups = tuple((_key_reader(group.positions), group.members) for group in groups)
 
     def __getstate__(self):
         return {
@@ -356,19 +391,27 @@ class ConsistencyStats:
 
     def add_row(self, values: Sequence[Any]) -> None:
         """Count one row's contribution."""
-        self._count(values, 1)
+        self._count(values, _key_cells(values, self.key_positions), 1)
 
     def remove_row(self, values: Sequence[Any]) -> None:
         """Retract one previously added row's contribution."""
-        self._count(values, -1)
+        self._count(values, _key_cells(values, self.key_positions), -1)
 
-    def _count(self, values: Sequence[Any], sign: int) -> None:
+    def _count(self, values: Sequence[Any], cells: Sequence[Any], sign: int) -> None:
+        """Add (``sign`` 1) or retract (-1) a row, whose LHS cells
+        (:func:`_key_cells`) are normalised."""
         self.row_count += sign
-        for position, check in enumerate(self._checks):
-            if check.applies(values):
-                self.checkable[position] += sign
-                if not check.satisfied(values):
-                    self.violations[position] += sign
+        checkable = self.checkable
+        violations = self.violations
+        for read_key, members in self._groups:
+            key = read_key(cells)
+            if None in key:
+                continue  # a NULL LHS value: no check of the group applies
+            for index, check in members:
+                if check.matches(values):
+                    checkable[index] += sign
+                    if not check.satisfied_at(values, key):
+                        violations[index] += sign
 
     def merge(self, other: "ConsistencyStats") -> None:
         """Fold another shard's counters into this one."""
@@ -406,7 +449,13 @@ class RelevanceStats:
     covered: dict[tuple, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self._key_positions = _positions(self.row_names, self.key)
+        positions = _positions(self.row_names, self.key)
+        # A key attribute the layout lacks makes a NULL key part, and the
+        # master-key set holds no NULL-bearing key: no row covers anything.
+        self._inert = None in positions
+        #: Positions of the key cells a row covers a master key by.
+        self.key_positions: tuple[int, ...] = () if self._inert else positions
+        self._read_key = _key_reader(self.key_positions)
 
     def __getstate__(self):
         return {
@@ -441,23 +490,22 @@ class RelevanceStats:
             master_keys=master_keys,
         )
 
-    def _row_key(self, values: Sequence[Any]) -> tuple:
-        return normalise_key_tuple(
-            values[position] if position is not None else None
-            for position in self._key_positions
-        )
-
     def add_row(self, values: Sequence[Any]) -> None:
         """Count one row's contribution."""
-        row_key = self._row_key(values)
-        if row_key in self.master_keys:
-            self.covered[row_key] = self.covered.get(row_key, 0) + 1
+        self._count(_key_cells(values, self.key_positions), 1)
 
     def remove_row(self, values: Sequence[Any]) -> None:
         """Retract one previously added row's contribution."""
-        row_key = self._row_key(values)
+        self._count(_key_cells(values, self.key_positions), -1)
+
+    def _count(self, cells: Sequence[Any], sign: int) -> None:
+        """Add (``sign`` 1) or retract (-1) a row by its key cells
+        (:func:`_key_cells`), normalised."""
+        if self._inert:
+            return
+        row_key = self._read_key(cells)
         if row_key in self.master_keys:
-            remaining = self.covered.get(row_key, 0) - 1
+            remaining = self.covered.get(row_key, 0) + sign
             if remaining > 0:
                 self.covered[row_key] = remaining
             else:
@@ -600,6 +648,24 @@ class QualityStats:
     #: four classic criteria a pure function of the rows.
     answer_agreement: AnswerAgreementStats | None = None
 
+    def __post_init__(self) -> None:
+        positions = set(self.consistency.key_positions)
+        if self.accuracy is not None:
+            positions.update(self.accuracy.key_positions)
+        if self.relevance is not None:
+            positions.update(self.relevance.key_positions)
+        #: Every key cell the accumulators read, normalised once per row.
+        self._key_positions = tuple(sorted(positions))
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        del state["_key_positions"]
+        return state
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self.__post_init__()
+
     @property
     def row_count(self) -> int:
         """Rows currently reflected in the accumulators."""
@@ -655,21 +721,20 @@ class QualityStats:
 
     def add_row(self, values: Sequence[Any]) -> None:
         """Add one row's contribution to every criterion."""
-        self.completeness.add_row(values)
-        self.consistency.add_row(values)
-        if self.accuracy is not None:
-            self.accuracy.add_row(values)
-        if self.relevance is not None:
-            self.relevance.add_row(values)
+        self._count(values, 1)
 
     def remove_row(self, values: Sequence[Any]) -> None:
         """Retract one previously added row from every criterion."""
-        self.completeness.remove_row(values)
-        self.consistency.remove_row(values)
+        self._count(values, -1)
+
+    def _count(self, values: Sequence[Any], sign: int) -> None:
+        cells = _key_cells(values, self._key_positions)
+        self.completeness._count(values, sign)
+        self.consistency._count(values, cells, sign)
         if self.accuracy is not None:
-            self.accuracy.remove_row(values)
+            self.accuracy._count(values, cells, sign)
         if self.relevance is not None:
-            self.relevance.remove_row(values)
+            self.relevance._count(cells, sign)
 
     def replace_row(self, old_values: Sequence[Any], new_values: Sequence[Any]) -> None:
         """Swap one row's contribution for another's."""

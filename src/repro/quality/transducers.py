@@ -33,6 +33,7 @@ from repro.provenance.model import provenance_store
 from repro.quality.cfd_learning import CFDLearner, CFDLearnerConfig, LearnedCFDs
 from repro.quality.repair import CFDRepairer
 from repro.quality.stats import MetricContext, QualityStats
+from repro.relational.table import Table
 
 __all__ = [
     "CFD_ARTIFACT_KEY",
@@ -59,10 +60,18 @@ QUALITY_STATS_ARTIFACT_KEY = "quality_stats"
 
 @dataclass
 class QualityStatsEntry:
-    """One relation's maintained accumulators plus its metric-fact subject."""
+    """One relation's maintained accumulators plus its metric-fact subject.
+
+    ``table`` is the catalog table the accumulators reflect. Tables are
+    immutable and every rewrite registers a new object, so the entry is
+    current while the catalog still holds that very object. An entry
+    restored from a checkpoint that predates the field reads the class
+    default, None, which no catalog table is: it counts as stale.
+    """
 
     subject_kind: str
     stats: QualityStats
+    table: Table | None = None
 
 
 class QualityStatsStash:
@@ -71,16 +80,15 @@ class QualityStatsStash:
     ``context_token`` records the data-context/CFD revisions the entries
     were built against — entries are only patchable while it matches (a new
     reference table or refreshed CFDs change what the accumulators mean).
-    ``synced_revision`` is the knowledge-base revision at which the entries
-    were last known to exactly reflect the catalog tables; consumers like
+    An entry reflects its relation while its recorded table is the
+    catalog's (:meth:`fresh`); consumers like
     :meth:`Wrangler.evaluate <repro.wrangler.pipeline.Wrangler.evaluate>`
-    use the finalised reports only when it still matches.
+    use the finalised reports only then.
     """
 
     def __init__(self) -> None:
         self.entries: dict[str, QualityStatsEntry] = {}
         self.context_token: tuple = ()
-        self.synced_revision: int = -1
 
     def get(self, relation: str) -> QualityStatsEntry | None:
         """The entry of one relation (None when untracked)."""
@@ -92,10 +100,13 @@ class QualityStatsStash:
         return entry.stats.finalise() if entry is not None else None
 
     def fresh(self, kb: KnowledgeBase, relation: str) -> bool:
-        """Whether ``relation``'s entry exactly reflects the current KB."""
+        """Whether ``relation``'s entry reflects its current table under the
+        current evaluation context."""
+        entry = self.entries.get(relation)
         return (
-            relation in self.entries
-            and self.synced_revision == kb.revision
+            entry is not None
+            and kb.has_table(relation)
+            and entry.table is kb.get_table(relation)
             and self.context_token == quality_context_token(kb)
         )
 
@@ -205,10 +216,11 @@ def patch_relation_stats(
     the new side holds join them, compared as multisets. When the entry's
     row count does not match ``old_rows``, or ``old_rows`` is None, the
     entry is rebuilt from the current table with
-    :func:`build_relation_stats` instead. The relation's ``metric`` facts
-    are re-asserted only when their values changed, so an unchanged report
-    wakes no transducer. Returns False when the relation has no entry (the
-    metric transducer scores it when it next runs).
+    :func:`build_relation_stats` instead. Either way the entry then records
+    the current table. The relation's ``metric`` facts are re-asserted only
+    when their values changed, so an unchanged report wakes no transducer.
+    Returns False when the relation has no entry (the metric transducer
+    scores it when it next runs).
     """
     stash = quality_stats_stash(kb, create=False)
     entry = stash.get(relation) if stash is not None else None
@@ -224,6 +236,7 @@ def patch_relation_stats(
                 entry.stats.remove_row(row)
             for _ in range(-count):
                 entry.stats.add_row(row)
+    entry.table = kb.get_table(relation)
     facts = [
         metric_fact(entry.subject_kind, relation, criterion, value)
         for criterion, value in entry.stats.finalise().as_dict().items()
@@ -292,7 +305,9 @@ class QualityMetricTransducer(Transducer):
     selection transducers consume. The sufficient statistics behind every
     report are stashed (``quality_stats`` artifact) so later revisions can
     patch the metrics instead of rescanning: a repair rewrite does so itself
-    (:func:`patch_relation_stats`), so ``repair`` facts are not watched.
+    (:func:`patch_relation_stats`), so ``repair`` facts are not watched. A
+    relation whose table and evaluation context are unchanged since its
+    entry was built or patched keeps that entry; the others are rebuilt.
     """
 
     name = "quality_metrics"
@@ -306,8 +321,10 @@ class QualityMetricTransducer(Transducer):
         added = 0
         evaluated = []
         stash = quality_stats_stash(kb)
+        token = quality_context_token(kb)
+        previous = stash.entries if stash.context_token == token else {}
         stash.entries = {}
-        stash.context_token = quality_context_token(kb)
+        stash.context_token = token
         subjects = [(Predicates.ROLE_SOURCE, name) for name in kb.source_relations()]
         subjects += [("result", row[0]) for row in kb.facts(Predicates.RESULT)]
         # Metric facts are derived state: replace, never accumulate (stale
@@ -317,15 +334,23 @@ class QualityMetricTransducer(Transducer):
         for subject_kind, relation in subjects:
             if not kb.has_table(relation):
                 continue
-            entry = QualityStatsEntry(subject_kind, build_relation_stats(kb, relation, contexts))
+            table = kb.get_table(relation)
+            entry = previous.get(relation)
+            # A rebuilt entry carries no query observations, so an entry
+            # that has some is rebuilt too: the metric facts stay the same.
+            if (
+                entry is None
+                or entry.table is not table
+                or entry.subject_kind != subject_kind
+                or entry.stats.answer_agreement is not None
+            ):
+                stats = build_relation_stats(kb, relation, contexts)
+                entry = QualityStatsEntry(subject_kind, stats, table)
             stash.entries[relation] = entry
             for criterion, value in entry.stats.finalise().as_dict().items():
                 fact = metric_fact(subject_kind, relation, criterion, value)
                 added += int(kb.assert_tuple(fact))
             evaluated.append(relation)
-        # Stamped after the assertions: the entries reflect the KB exactly
-        # as it stands when this transducer hands back control.
-        stash.synced_revision = kb.revision
         return TransducerResult(
             facts_added=added,
             notes=f"computed metrics for {len(evaluated)} datasets",

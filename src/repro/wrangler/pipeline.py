@@ -783,11 +783,12 @@ class Wrangler:
         system itself can know — exactly as the metric transducer scores it
         (:func:`~repro.quality.transducers.build_relation_stats`).
 
-        When the session's quality statistics are fresh — synced at the
-        current knowledge-base revision and built under the current CFD and
-        data-context revisions — the report is finalised from them without
-        rescanning the table. Otherwise, or with ``use_stats=False`` (the
-        validation harness compares both), the table is rescanned.
+        When the session's quality statistics are fresh — the result's
+        entry was built or last patched for the result table the catalog
+        holds, under the current CFD and data-context revisions — the
+        report is finalised from them without rescanning the table.
+        Otherwise, or with ``use_stats=False`` (the validation harness
+        compares both), the table is rescanned.
         """
         table = self.result()
         if table is None:

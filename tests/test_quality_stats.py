@@ -4,15 +4,18 @@ The contract under test: a maintained :class:`QualityStats` — fed any mix of
 ``add_row`` / ``remove_row`` / ``replace_row`` deltas — finalises to exactly
 the report a full recomputation over the resulting row multiset produces,
 and ``merge`` combines shard accumulators associatively. The CFD check that
-consistency and repair share is compared with a dict-row oracle.
+consistency and repair share, and the key cells that consistency, accuracy
+and relevance read, are compared with dict-row oracles. A bootstrap scores
+each table object once.
 """
 
 from __future__ import annotations
 
 import pickle
+from collections import Counter
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.quality import (
@@ -25,11 +28,21 @@ from repro.quality import (
     build_stats,
     build_witness,
 )
+from repro.core.facts import Predicates, result_relation_name
+from repro.quality import stats as stats_module
 from repro.quality.stats import QualityStats
-from repro.quality.transducers import quality_stats_stash
+from repro.quality.transducers import (
+    QUALITY_STATS_ARTIFACT_KEY,
+    QualityMetricTransducer,
+    QualityStatsEntry,
+    QualityStatsStash,
+    quality_stats_stash,
+)
 from repro.relational import Attribute, DataType, Schema, Table
 from repro.relational.keys import normalise_key_tuple
 from repro.relational.types import is_null
+from repro.scenarios.synth import SynthConfig
+from repro.service.session import WranglingSession
 
 SCHEMA = Schema("listing", [
     Attribute("street", DataType.STRING),
@@ -289,6 +302,82 @@ def oracle_repair(names, rows, cfds, witnesses):
     return [tuple(row[name] for name in names) for row in rows], actions
 
 
+def oracle_consistency(names, rows, cfds, witnesses):
+    """Per-CFD (checkable, violations) counts over ``rows``."""
+    dict_rows = [dict(zip(names, values)) for values in rows]
+    in_scope = [[row for row in dict_rows if oracle_applies(cfd, row)] for cfd in cfds]
+    return (
+        [len(scope) for scope in in_scope],
+        [sum(not oracle_satisfied(cfd, row, witnesses.get(cfd.cfd_id)) for row in scope)
+         for cfd, scope in zip(cfds, in_scope)],
+    )
+
+
+def oracle_cell_equal(left, right):
+    if isinstance(left, str) and isinstance(right, str):
+        return left.strip().lower() == right.strip().lower()
+    if isinstance(left, (int, float)) and isinstance(right, (int, float)):
+        return abs(float(left) - float(right)) < 1e-9
+    return left == right
+
+
+def oracle_accuracy(names, rows, reference, key):
+    """(checked, correct) cells against the first reference row per key."""
+    reference_names = reference.schema.attribute_names
+    compared = [name for name in names
+                if name in reference_names and name not in key and not name.startswith("_")]
+    index = {}
+    for values in reference.tuples():
+        found = dict(zip(reference_names, values))
+        found_key = normalise_key_tuple(found[attribute] for attribute in key)
+        if None not in found_key:
+            index.setdefault(found_key, found)
+    checked = correct = 0
+    for values in rows:
+        row = dict(zip(names, values))
+        found = index.get(normalise_key_tuple(row.get(attribute) for attribute in key))
+        if found is None:
+            continue
+        for name in compared:
+            if is_null(found.get(name)) or is_null(row.get(name)):
+                continue
+            checked += 1
+            correct += oracle_cell_equal(row[name], found[name])
+    return checked, correct
+
+
+def oracle_covered(names, rows, master, key):
+    """The multiset of master keys the rows cover."""
+    master_names = master.schema.attribute_names
+    master_keys = {
+        normalise_key_tuple(dict(zip(master_names, values)).get(attribute) for attribute in key)
+        for values in master.tuples()
+    }
+    covered = Counter()
+    for values in rows:
+        row_key = normalise_key_tuple(dict(zip(names, values)).get(attribute) for attribute in key)
+        if None not in row_key and row_key in master_keys:
+            covered[row_key] += 1
+    return dict(covered)
+
+
+#: Add (True) or remove steps, each with an index into the rows it picks from.
+STEPS = st.lists(st.tuples(st.booleans(), st.integers(0, 30)), max_size=16)
+
+
+def drive(stats, pool, steps):
+    """Add rows of ``pool`` and remove live ones as ``steps`` say; the rows left."""
+    live = []
+    for add, index in steps:
+        if add or not live:
+            row = pool[index % len(pool)]
+            stats.add_row(row)
+            live.append(row)
+        else:
+            stats.remove_row(live.pop(index % len(live)))
+    return live
+
+
 def same(left, right):
     """Equal values of the same type (``1``, ``1.0`` and ``True`` differ)."""
     return repr(left) == repr(right) and type(left) is type(right)
@@ -301,6 +390,7 @@ LAYOUT_NAMES = ["a", "b", "c", "d"]
 
 @st.composite
 def cfds(draw, cfd_id="cfd"):
+    """A CFD whose RHS may be another CFD's LHS attribute."""
     lhs = tuple(draw(st.lists(st.sampled_from(["a", "b"]), min_size=1, max_size=2,
                               unique=True)))
     pattern = tuple(
@@ -309,7 +399,8 @@ def cfds(draw, cfd_id="cfd"):
         if draw(st.booleans())
     )
     return CFD(
-        cfd_id, "t", lhs, draw(st.sampled_from(["c", "d"])),
+        cfd_id, "t", lhs,
+        draw(st.sampled_from([name for name in LAYOUT_NAMES if name not in lhs])),
         lhs_pattern=pattern,
         rhs_pattern=draw(st.one_of(st.just(WILDCARD), st.sampled_from(CELLS))),
         confidence=draw(st.sampled_from([1.0, 0.9])),
@@ -330,10 +421,45 @@ def witnesses(draw, cfd):
 
 
 @st.composite
+def context_tables(draw, name):
+    """A context table over some layout attributes, and a key among them."""
+    attributes = draw(st.lists(st.sampled_from(LAYOUT_NAMES), min_size=1, max_size=4,
+                               unique=True))
+    rows = draw(st.lists(st.tuples(*(st.sampled_from(CELLS) for _ in attributes)),
+                         max_size=6))
+    key = tuple(draw(st.lists(st.sampled_from(attributes), min_size=1, max_size=2,
+                              unique=True)))
+    return Table(Schema(name, attributes), rows, coerce=False, validate=False), key
+
+
+@st.composite
 def layouts(draw):
     """Attribute names in any order, at times without an LHS or RHS attribute."""
     names = draw(st.permutations(LAYOUT_NAMES))
     return tuple(names if draw(st.booleans()) else names[:draw(st.integers(1, 3))])
+
+
+@st.composite
+def repair_cases(draw):
+    """A layout, 1–4 CFDs with witnesses, rows, and add/remove steps."""
+    names = draw(layouts())
+    dependencies = [draw(cfds(f"cfd{index}")) for index in range(draw(st.integers(1, 4)))]
+    witness_of = {cfd.cfd_id: draw(witnesses(cfd)) for cfd in dependencies}
+    rows = draw(st.lists(
+        st.tuples(*(st.sampled_from(CELLS) for _ in names)), min_size=1, max_size=6))
+    return names, dependencies, witness_of, rows, draw(STEPS)
+
+
+#: cfd1 rewrites the LHS cell that cfd0 and cfd2 share, after cfd0 read it:
+#: cfd2 must read the new value, in row 0 a value and in row 1 a NULL.
+REWRITTEN_SHARED_LHS = (
+    ("a", "b", "c"),
+    [CFD("cfd0", "t", ("a",), "c"), CFD("cfd1", "t", ("b",), "a"),
+     CFD("cfd2", "t", ("a",), "c")],
+    {"cfd0": {("x",): "y"}, "cfd1": {("y",): 1}, "cfd2": {("x",): "old", (1,): "new"}},
+    [("x", "y", "y"), (None, "y", "y")],
+    [(True, 0), (True, 1), (False, 0)],
+)
 
 
 class TestCFDCheckOracle:
@@ -354,14 +480,10 @@ class TestCFDCheckOracle:
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(data=st.data())
-    def test_repair_and_consistency_match_dict_row_oracle(self, data):
-        names = data.draw(layouts())
-        dependencies = [data.draw(cfds(f"cfd{index}")) for index in range(data.draw(
-            st.integers(1, 3)))]
-        witness_of = {cfd.cfd_id: data.draw(witnesses(cfd)) for cfd in dependencies}
-        rows = data.draw(st.lists(
-            st.tuples(*(st.sampled_from(CELLS) for _ in names)), min_size=1, max_size=6))
+    @given(case=repair_cases())
+    @example(case=REWRITTEN_SHARED_LHS)
+    def test_repair_and_consistency_match_dict_row_oracle(self, case):
+        names, dependencies, witness_of, rows, steps = case
         table = Table(Schema("t", list(names)), rows, coerce=False, validate=False)
 
         result = CFDRepairer().repair(table, dependencies, witnesses=witness_of)
@@ -375,14 +497,14 @@ class TestCFDCheckOracle:
         assert same(result.table.tuples(), table.replace_rows(expected_rows).tuples())
 
         stats = build_stats(table, cfds=dependencies, witnesses=witness_of).consistency
-        dict_rows = [dict(zip(names, values)) for values in rows]
-        in_scope = [[row for row in dict_rows if oracle_applies(cfd, row)]
-                    for cfd in dependencies]
-        assert stats.checkable == [len(scope) for scope in in_scope]
-        assert stats.violations == [
-            sum(not oracle_satisfied(cfd, row, witness_of[cfd.cfd_id]) for row in scope)
-            for cfd, scope in zip(dependencies, in_scope)
-        ]
+        expected = oracle_consistency(names, rows, dependencies, witness_of)
+        assert (stats.checkable, stats.violations) == expected
+
+        maintained = QualityStats.for_schema(table.schema, cfds=dependencies,
+                                             witnesses=witness_of)
+        live = drive(maintained, rows, steps)
+        expected = oracle_consistency(names, live, dependencies, witness_of)
+        assert (maintained.consistency.checkable, maintained.consistency.violations) == expected
 
     @pytest.mark.parametrize("pattern", [None, float("nan")])
     def test_null_constant_pattern_violates_but_never_repairs(self, pattern):
@@ -407,6 +529,37 @@ class TestCFDCheckOracle:
         assert result.table.tuples() == [("Oak Street", "M1 1AA", "Manchester")]
         assert [(action.cfd_id, action.kind) for action in result.actions] == [
             ("strong", "violation"), ("weak", "imputation")]
+
+
+class TestKeyCellOracle:
+    """Accuracy, relevance and consistency read one normalisation of each
+    key cell; their counters must equal dict-row oracles after any
+    sequence of adds and removes."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_counters_match_dict_row_oracles(self, data):
+        names = data.draw(layouts())
+        dependencies = [data.draw(cfds(f"cfd{index}")) for index in range(data.draw(
+            st.integers(0, 3)))]
+        witness_of = {cfd.cfd_id: data.draw(witnesses(cfd)) for cfd in dependencies}
+        reference, reference_key = data.draw(context_tables("reference"))
+        master, master_key = data.draw(context_tables("master"))
+        pool = data.draw(st.lists(
+            st.tuples(*(st.sampled_from(CELLS) for _ in names)), min_size=1, max_size=6))
+        stats = QualityStats.for_schema(
+            Schema("t", list(names)),
+            reference=reference, reference_key=reference_key,
+            cfds=dependencies, witnesses=witness_of,
+            master=master, master_key=master_key,
+        )
+        live = drive(stats, pool, data.draw(STEPS))
+        assert (stats.accuracy.checked, stats.accuracy.correct) == oracle_accuracy(
+            names, live, reference, reference_key)
+        assert stats.relevance.covered == oracle_covered(names, live, master, master_key)
+        assert (stats.consistency.checkable, stats.consistency.violations) == (
+            oracle_consistency(names, live, dependencies, witness_of))
 
 
 class TestCfdIdNamespacing:
@@ -478,3 +631,74 @@ class TestBuildStats:
         assert quality_stats_stash(kb, create=False) is None
         stash = quality_stats_stash(kb)
         assert quality_stats_stash(kb) is stash
+
+
+class TestScoredOnce:
+    """Each table object is scored once; later readers use its stash entry."""
+
+    @staticmethod
+    def bootstrapped(monkeypatch):
+        session = WranglingSession.from_scenario(
+            SynthConfig(family="product_catalog", entities=60, seed=1))
+        builds = Counter()
+        scored = []  # keeps every scored table alive, so ids stay unique
+        original = stats_module.build_stats
+
+        def counting(table, **kwargs):
+            scored.append(table)
+            builds[table.name, id(table)] += 1
+            return original(table, **kwargs)
+
+        monkeypatch.setattr(stats_module, "build_stats", counting)
+        session.wrangler.run("bootstrap", evaluate=False)
+        return session.wrangler, builds
+
+    def test_bootstrap_builds_each_table_once(self, monkeypatch):
+        wrangler, builds = self.bootstrapped(monkeypatch)
+        assert max(builds.values()) == 1
+        per_relation = Counter(name for name, _table in builds)
+        for source in wrangler.kb.source_relations():
+            assert per_relation[source] == 1
+
+    def test_evaluate_after_bootstrap_reads_the_stash(self, monkeypatch):
+        wrangler, builds = self.bootstrapped(monkeypatch)
+        builds.clear()
+        report = wrangler.evaluate()
+        assert not builds
+        assert report == wrangler.evaluate(use_stats=False)
+
+    def test_stash_pickled_without_the_table_is_stale(self, monkeypatch):
+        """A checkpoint written before entries recorded their table."""
+        wrangler, builds = self.bootstrapped(monkeypatch)
+        kb = wrangler.kb
+        name = result_relation_name(wrangler.target_relation)
+        stash = quality_stats_stash(kb, create=False)
+        assert stash.fresh(kb, name)
+        legacy = object.__new__(QualityStatsStash)
+        legacy.__dict__.update(entries={}, context_token=stash.context_token,
+                               synced_revision=kb.revision)
+        for relation, entry in stash.entries.items():
+            old = object.__new__(QualityStatsEntry)
+            old.__dict__.update(subject_kind=entry.subject_kind, stats=entry.stats)
+            legacy.entries[relation] = old
+        restored = pickle.loads(pickle.dumps(legacy))
+        assert restored.entries[name].table is None
+        assert not restored.fresh(kb, name)
+        kb.store_artifact(QUALITY_STATS_ARTIFACT_KEY, restored)
+        builds.clear()
+        assert wrangler.evaluate() == wrangler.evaluate(use_stats=False)
+        assert sum(builds.values()) == 2
+
+    def test_entry_with_query_observations_is_rebuilt(self, monkeypatch):
+        """A rebuilt entry holds no query observations, so a kept one must
+        not either: the metric transducer asserts the same facts."""
+        wrangler, builds = self.bootstrapped(monkeypatch)
+        kb = wrangler.kb
+        name = result_relation_name(wrangler.target_relation)
+        wrangler.query(f"q(K) :- {wrangler.target_relation}(sku=K).", mode="both")
+        assert quality_stats_stash(kb).get(name).stats.answer_agreement is not None
+        builds.clear()
+        QualityMetricTransducer().execute(kb)
+        assert list(builds) == [(name, id(kb.get_table(name)))]
+        criteria = {row[2] for row in kb.facts(Predicates.METRIC) if row[1] == name}
+        assert criteria == {"completeness", "accuracy", "consistency", "relevance"}
