@@ -10,17 +10,12 @@ source sizes.
 from __future__ import annotations
 
 from collections import defaultdict
-from functools import partial
-from itertools import repeat
-from operator import is_
 from typing import Callable, Sequence
 
 from repro.relational.keys import normalise_key
 from repro.relational.table import Row, Table
 
 __all__ = ["block_by_attributes", "block_by_key_function", "candidate_blocks"]
-
-_is_none = partial(is_, None)
 
 
 def block_by_attributes(table: Table, attributes: Sequence[str]) -> dict[tuple, list[int]]:
@@ -29,17 +24,14 @@ def block_by_attributes(table: Table, attributes: Sequence[str]) -> dict[tuple, 
     Rows with NULL in any blocking attribute end up in their own singleton
     blocks (they can never be confidently matched on that key).
     """
-    if not attributes:
-        return {(): list(range(len(table)))} if len(table) else {}
     columns = [
-        map(normalise_key, table.column(name)) if name in table.schema else repeat(None, len(table))
+        table.column(name) if name in table.schema else [None] * len(table)
         for name in attributes
     ]
     blocks: dict[tuple, list[int]] = defaultdict(list)
-    for index, key in enumerate(zip(*columns)):
-        # ``in`` tests identity first: only a key holding None, or a value
-        # equal to None, reaches the exact test.
-        if None in key and any(map(_is_none, key)):
+    for index in range(len(table)):
+        key = tuple(normalise_key(column[index]) for column in columns)
+        if any(part is None for part in key):
             blocks[("__null__", index)].append(index)
         else:
             blocks[key].append(index)

@@ -158,15 +158,6 @@ class DuplicateDetector:
                         if index.may_pair(left, right):
                             yield left, right
 
-    def read_positions(self, schema: Schema) -> tuple[int, ...]:
-        """Positions in ``schema`` of the attributes :meth:`candidates` and
-        :meth:`pair_similarity` read: rows with the same values there (of
-        the same types) block, prune and score alike. A subclass that reads
-        other attributes must add them here."""
-        config = self._config
-        names = dict.fromkeys((*config.blocking_attributes, *config.comparison_attributes))
-        return tuple(schema.position(name) for name in names if name in schema)
-
     def pair_similarity(self, left: Row, right: Row) -> float:
         """Mean per-attribute similarity over the comparison attributes.
 

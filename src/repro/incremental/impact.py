@@ -49,10 +49,6 @@ class DirtySet:
     #: Driving sources whose whole segment must be rebuilt (row removals
     #: invalidate the positional ids of every later row).
     rebuild_sources: set[str] = field(default_factory=set)
-    #: Driving source → the target attributes whose assignment changed in a
-    #: leaf that kept its sources and join conditions: only those columns
-    #: of the source's segment are re-read.
-    column_deltas: dict[str, frozenset[str]] = field(default_factory=dict)
     #: The relation needs a full rebuild (a source changed under a result
     #: whose mapping is unknown).
     full_rebuild: bool = False
@@ -66,7 +62,6 @@ class DirtySet:
             or self.recompute
             or self.appended
             or self.rebuild_sources
-            or self.column_deltas
             or self.full_rebuild
         )
 

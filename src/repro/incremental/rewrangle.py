@@ -53,13 +53,7 @@ from repro.incremental.state import (
 )
 from repro.mapping.execution import MappingExecutor
 from repro.mapping.transducers import result_relation_name, selected_mapping
-from repro.provenance.model import (
-    OPERATOR_REPAIR,
-    CellLineage,
-    ProvenanceStore,
-    TupleLineage,
-    provenance_store,
-)
+from repro.provenance.model import ProvenanceStore, provenance_store
 from repro.quality.cfd_learning import LearnedCFDs
 from repro.quality.transducers import (
     CFD_ARTIFACT_KEY,
@@ -67,9 +61,7 @@ from repro.quality.transducers import (
     quality_context_token,
     quality_stats_stash,
 )
-from repro.relational.schema import Schema
 from repro.relational.table import Table
-from repro.relational.types import coerce_value
 
 __all__ = ["IncrementalOutcome", "IncrementalWrangler"]
 
@@ -108,9 +100,6 @@ class IncrementalOutcome:
     clusters_refused: int = 0
     cells_rerepaired: int = 0
     rows_dropped: int = 0
-    #: Rows of column-delta segments whose changed columns were re-read
-    #: instead of re-executing the rows.
-    rows_column_patched: int = 0
     #: Relations whose statistics were patched and whose metric facts now
     #: match them (empty when the quality stash was unavailable and the
     #: next full run recomputes the metrics instead).
@@ -128,7 +117,6 @@ class IncrementalOutcome:
             "clusters_refused": self.clusters_refused,
             "cells_rerepaired": self.cells_rerepaired,
             "rows_dropped": self.rows_dropped,
-            "rows_column_patched": self.rows_column_patched,
             "metrics_patched": list(self.metrics_patched),
             **self.details,
         }
@@ -227,13 +215,12 @@ class IncrementalWrangler:
         # Phase C — winner stability: a flipped selection means a different
         # query, which is a rebuild, not a patch. A same-id winner can still
         # change shape (feedback pushing a match below the generation
-        # threshold drops assignments): a leaf that changed only assignments
-        # re-reads those columns of its driving-source segment, any other
-        # changed leaf re-executes the segment; added or removed leaves
-        # change the row order and fall back.
+        # threshold drops assignments): a changed leaf re-executes its whole
+        # driving-source segment; added or removed leaves change the row
+        # order and fall back.
         winner = selected_mapping(kb)
         selected = {result_relation_name(winner.target_relation): winner} if winner else {}
-        revised_leaves: dict[str, dict[str, frozenset[str] | None]] = {}
+        revised_leaves: dict[str, set[str]] = {}
         for relation, rel_state in state.relations.items():
             mapping = selected.get(relation)
             if mapping is None:
@@ -301,7 +288,7 @@ class IncrementalWrangler:
         outcome: IncrementalOutcome,
         row_diffs: dict[str, tuple[dict[str, tuple], dict[str, tuple]]],
         *,
-        revised_leaves: Mapping[str, Mapping[str, frozenset[str] | None]] | None = None,
+        revised_leaves: Mapping[str, set[str]] | None = None,
     ) -> str | None:
         """Resolve one change set and patch every affected relation.
 
@@ -309,14 +296,10 @@ class IncrementalWrangler:
         falls back to the full pipeline, which overwrites partial patches).
         """
         dirty_map = resolve(change_set, state, mappings, self._kb.catalog)
-        for relation, changes in (revised_leaves or {}).items():
+        for relation, sources in (revised_leaves or {}).items():
             entry = dirty_map.setdefault(relation, DirtySet(relation=relation))
-            for source, attributes in changes.items():
-                if attributes is None:
-                    entry.rebuild_sources.add(source)
-                else:
-                    entry.column_deltas[source] = attributes
-            entry.reasons.append(f"mapping assignments changed for {sorted(changes)}")
+            entry.rebuild_sources |= sources
+            entry.reasons.append(f"mapping assignments changed for {sorted(sources)}")
         try:
             for relation, dirty in sorted(dirty_map.items()):
                 rel_state = state.get(relation)
@@ -416,17 +399,13 @@ class IncrementalWrangler:
         )
 
     @staticmethod
-    def _changed_leaves(old_mapping, new_mapping) -> dict[str, frozenset[str] | None] | None:
+    def _changed_leaves(old_mapping, new_mapping) -> set[str] | None:
         """Driving sources whose leaf changed shape (None → leaves added/lost).
 
-        Each maps to the target attributes whose assignment changed when the
-        leaf kept its kind, sources and join conditions (a *column delta*:
-        the same driving rows and join partners, other columns read), or to
-        None when it did not. Assignment *scores* are ignored — they move
-        with every feedback round but do not affect what a leaf
-        materialises. Only the (target, source relation, source attribute)
-        triplets and the join conditions matter
-        (``SchemaMapping.structure_signature``).
+        Assignment *scores* are ignored — they move with every feedback
+        round but do not affect what a leaf materialises. Only the
+        (target, source relation, source attribute) triplets and the join
+        conditions matter (``SchemaMapping.structure_signature``).
         """
         if old_mapping is None:
             return None
@@ -438,15 +417,7 @@ class IncrementalWrangler:
         }
         if set(old_leaves) != set(new_leaves):
             return None
-        changed: dict[str, frozenset[str] | None] = {}
-        for source, (kind, sources, assignments, joins) in new_leaves.items():
-            old_kind, old_sources, old_assignments, old_joins = old_leaves[source]
-            if (old_kind, old_sources, old_joins) != (kind, sources, joins):
-                changed[source] = None
-            elif old_assignments != assignments:
-                moved = set(old_assignments) ^ set(assignments)
-                changed[source] = frozenset(target for target, _relation, _attribute in moved)
-        return changed
+        return {source for source, sig in new_leaves.items() if old_leaves[source] != sig}
 
     # -- the patch ------------------------------------------------------------
 
@@ -465,10 +436,6 @@ class IncrementalWrangler:
         schema = rel_state.schema
         old_pairs = dict(rel_state.pairs)
         old_clusters = cluster_map(old_pairs)
-        previous = dict(rel_state.prefusion)
-        current = self._current_rows(relation)
-        feedback_marks = incorrect_marks(kb.facts(Predicates.FEEDBACK)).get(relation, {})
-        learned: LearnedCFDs | None = kb.get_artifact(CFD_ARTIFACT_KEY)
 
         # (a) re-execute dirty driving rows (and whole segments / appends).
         rematerialised = self._rematerialise(relation, rel_state, dirty, mapping, store)
@@ -476,19 +443,6 @@ class IncrementalWrangler:
             return f"re-materialisation failed for {relation}"
         fresh, removed = rematerialised
         outcome.rows_rematerialised += len(fresh)
-        replays: dict[str, _Replay] = {}
-        if dirty.column_deltas:
-            # Fused members and feedback-cleared cells copy other cells'
-            # lineage, so those rows re-derive even when their values stay.
-            entangled = set(old_clusters) | set(feedback_marks)
-            repatched, rederive = self._patch_columns(
-                relation, rel_state, dirty, mapping, store, settled=fresh, entangled=entangled
-            )
-            outcome.rows_column_patched += repatched
-            replays = self._narrow_replays(
-                rel_state, dirty, rederive - entangled, learned, current, store
-            )
-            fresh |= {key for key in rederive if key not in replays}
 
         # Dirty rows re-derive from base; their whole old clusters join them
         # (the fused survivor needs every member's fresh pre-fusion row and
@@ -499,19 +453,14 @@ class IncrementalWrangler:
         recompute &= set(rel_state.base)
 
         # (b) per-row pass 1: base → repair → feedback (the pre-fusion rows).
+        feedback_marks = incorrect_marks(kb.facts(Predicates.FEEDBACK)).get(relation, {})
+        learned: LearnedCFDs | None = kb.get_artifact(CFD_ARTIFACT_KEY)
         self._derive_prefusion(
             relation, rel_state, recompute, learned, feedback_marks, store, outcome
         )
 
-        # (c) re-score the duplicate pairs of the rows that appeared,
-        # vanished or changed where detection reads (the other recomputed
-        # rows block and score as before).
-        positions = self._detector.read_positions(schema)
-        touched = removed | {
-            key
-            for key in recompute
-            if _moved(previous.get(key), rel_state.prefusion.get(key), positions)
-        }
+        # (c) re-score duplicate pairs involving the recomputed rows.
+        touched = recompute | removed
         self._repair_pairs(rel_state, touched)
 
         # (d) affected final rows: every cluster (old or new) touching the
@@ -520,18 +469,6 @@ class IncrementalWrangler:
         # by an earlier merge; its pass 1 re-runs (same row, fresh lineage)
         # so the re-fused cells keep its witnesses.
         new_clusters = cluster_map(rel_state.pairs)
-        two_pass = bool(rel_state.pairs)
-        flipped = two_pass != bool(old_pairs)
-        # A narrowed row that now fuses, or any when the relation's pass
-        # count flips (see below), re-derives in full after all.
-        late = {key for key in replays if flipped or key in new_clusters}
-        if late:
-            for key in late:
-                del replays[key]
-            self._derive_prefusion(
-                relation, rel_state, late, learned, feedback_marks, store, outcome
-            )
-            recompute |= late
         affected: set[str] = set(recompute)
         for key in recompute | removed:
             affected |= old_clusters.get(key, frozenset())
@@ -553,11 +490,13 @@ class IncrementalWrangler:
         # row's pass count; if the patch flips that (first pairs appeared,
         # or the last cluster dissolved), every row's derivation changes
         # shape and the whole table re-derives.
-        if flipped:
+        two_pass = bool(rel_state.pairs)
+        if two_pass != bool(old_pairs):
             affected = set(rel_state.prefusion)
 
         # (e) fuse dirty clusters; when the relation fuses, run the
         # cascade's post-fusion repair + feedback pass over the affected rows.
+        current = self._current_rows(relation)
         final_updates, refused, pass2_cells, pass2_dropped = self._derive_final(
             relation,
             rel_state,
@@ -571,11 +510,6 @@ class IncrementalWrangler:
         outcome.clusters_refused += refused
         outcome.cells_rerepaired += pass2_cells
         outcome.rows_dropped += len(pass2_dropped)
-        final_updates.update(
-            self._replay(
-                relation, rel_state, replays, current, learned, store, outcome, two_pass=two_pass
-            )
-        )
 
         # (f) rebuild the emitted row order and write the table. Rows kept
         # from the current table are coerced already: only the others (the
@@ -616,14 +550,9 @@ class IncrementalWrangler:
 
         # (g) verify the patched table is a pipeline fixpoint: the full run
         # would re-detect over the fused rows and fuse again if anything
-        # still pairs. Rows unchanged where detection reads were pairwise
-        # clean at the previous fixpoint, so only pairs touching the other
-        # final rows can exist.
-        changed_final = {
-            key
-            for key, row in zip(emitted, rows)
-            if key in final_updates and _moved(current.get(key), row, positions)
-        }
+        # still pairs. Unchanged rows were pairwise clean at the previous
+        # fixpoint, so only pairs touching this patch's final rows can exist.
+        changed_final = {key for key in emitted if key in final_updates}
         if self._second_level_pairs(table, changed_final):
             return f"{relation}: patched rows re-cluster post-fusion (needs full pass)"
 
@@ -716,265 +645,6 @@ class IncrementalWrangler:
             ordered = sorted(new_keys, key=lambda key: int(key.rpartition(":")[2]))
             rel_state.order[insert_at:insert_at] = ordered
         return fresh, removed
-
-    def _patch_columns(
-        self,
-        relation: str,
-        rel_state: RelationState,
-        dirty: DirtySet,
-        mapping,
-        store: ProvenanceStore,
-        *,
-        settled: set[str],
-        entangled: set[str],
-    ) -> tuple[int, set[str]]:
-        """Apply the column deltas; returns (rows patched, keys to re-derive).
-
-        A leaf that changed only assignments keeps its driving rows, join
-        partners and witnesses. So each row of its segment, except the
-        ``settled`` keys (executed afresh already), re-reads only the changed
-        target attributes: NULL where the new leaf assigns none, else the
-        value an execution of the leaf yields. Every base lineage takes the
-        leaf's new ``cell_sources``. A row whose values changed, or one in
-        ``entangled``, re-derives like a re-materialised one. Any other row
-        derives as before: its current lineage only swaps in the new
-        ``cell_sources`` and keeps its overrides.
-        """
-        kb = self._kb
-        schema = rel_state.schema
-        target_schema = kb.schema_of(mapping.target_relation)
-        executor = MappingExecutor(kb.catalog)
-        leaves = {leaf.sources[0]: leaf for leaf in mapping.leaf_mappings()}
-        patched = 0
-        rederive: set[str] = set()
-        for source, attributes in sorted(dirty.column_deltas.items()):
-            if source in dirty.rebuild_sources:
-                continue
-            leaf = leaves[source]
-            prefix = f"{source}:"
-            keys = [
-                key
-                for key in rel_state.order
-                if key.startswith(prefix) and key not in settled and key in rel_state.base
-            ]
-            positions = [schema.position(name) for name in sorted(attributes) if name in schema]
-            produced: dict[str, tuple] = {}
-            if attributes & {assignment.target_attribute for assignment in leaf.assignments}:
-                produced = dict(
-                    executor.execute_rows(
-                        leaf,
-                        target_schema,
-                        driving={source: [int(key.rpartition(":")[2]) for key in keys]},
-                        result_name=relation,
-                    )
-                )
-            cell_sources = store.intern_cell_sources(executor.cell_sources(leaf))
-            for key in keys:
-                old = rel_state.base[key]
-                fresh = produced.get(key)
-                row = list(old)
-                for position in positions:
-                    row[position] = None if fresh is None else fresh[position]
-                row = tuple(row)
-                patched += 1
-                base = rel_state.base_lineage.get(key)
-                if base is not None:
-                    rel_state.base_lineage[key] = TupleLineage(
-                        operator=base.operator,
-                        mapping_id=base.mapping_id,
-                        witnesses=base.witnesses,
-                        cell_sources=cell_sources,
-                        cells=base.cells,
-                    )
-                if key in entangled or _moved(old, row, positions):
-                    rel_state.base[key] = row
-                    rederive.add(key)
-                    continue
-                current = store.tuple_lineage(relation, key)
-                if current is not None:
-                    store.record_tuple(
-                        relation,
-                        key,
-                        operator=current.operator,
-                        witnesses=current.witnesses,
-                        mapping_id=current.mapping_id,
-                        cell_sources=cell_sources,
-                        cells=current.cells,
-                    )
-        return patched, rederive
-
-    def _narrow_replays(
-        self,
-        rel_state: RelationState,
-        dirty: DirtySet,
-        keys: set[str],
-        learned: LearnedCFDs | None,
-        current: Mapping[str, tuple],
-        store: ProvenanceStore,
-    ) -> dict[str, _Replay]:
-        """The column-patched ``keys`` whose repair can be replayed narrowly.
-
-        Per column delta, :func:`_narrow_repair` gives the CFDs the changed
-        attributes reach and the attributes they may rewrite. A row
-        qualifies when that is sound for the delta and the row was derived
-        on its own: in the current table under its own key, with lineage.
-        (The caller passes only rows outside clusters and feedback.)
-        """
-        schema = rel_state.schema
-        names = schema.attribute_names
-        read = {names[position] for position in self._detector.read_positions(schema)}
-        cfds = learned.cfds if learned is not None else ()
-        replays: dict[str, _Replay] = {}
-        for source, attributes in dirty.column_deltas.items():
-            narrowed = _narrow_repair(cfds, attributes, read)
-            if narrowed is None:
-                continue
-            reached, closure = narrowed
-            lhs = {name for cfd in reached for name in cfd.lhs}
-            replay = _Replay(
-                cfds=tuple(reached),
-                closure=closure,
-                columns=tuple(p for p, name in enumerate(names) if name in closure | lhs),
-                positions=tuple(p for p, name in enumerate(names) if name in closure),
-            )
-            prefix = f"{source}:"
-            for key in keys:
-                if (
-                    key.startswith(prefix)
-                    and key in current
-                    and key in rel_state.prefusion
-                    and key in rel_state.base_lineage
-                    and store.tuple_lineage(rel_state.relation, key) is not None
-                ):
-                    replays[key] = replay
-        return replays
-
-    def _replay(
-        self,
-        relation: str,
-        rel_state: RelationState,
-        replays: Mapping[str, _Replay],
-        current: Mapping[str, tuple],
-        learned: LearnedCFDs | None,
-        store: ProvenanceStore,
-        outcome: IncrementalOutcome,
-        *,
-        two_pass: bool,
-    ) -> dict[str, tuple]:
-        """Derive the narrowed rows; returns their final rows by key.
-
-        Outside its closure a row keeps its pre-fusion and final values and
-        its lineage overrides. Inside, its lineage restarts from the base
-        annotation, and each repair pass the pipeline runs (one, or two
-        when the relation fuses) replays only the reached CFDs: pass 1 on
-        the new base row, pass 2 on the new pre-fusion row.
-        """
-        final: dict[str, tuple] = {}
-        groups: dict[_Replay, list[str]] = {}
-        for key in rel_state.order:
-            if key in replays:
-                groups.setdefault(replays[key], []).append(key)
-        for replay, keys in groups.items():
-            overrides: list[dict[str, CellLineage]] = [{} for _ in keys]
-            args = (rel_state.schema, replay, learned, overrides, outcome)
-            repaired = self._repair_columns(*args, [rel_state.base[key] for key in keys])
-            rows = [
-                _splice(rel_state.prefusion[key], row, replay.positions)
-                for key, row in zip(keys, repaired)
-            ]
-            rel_state.prefusion.update(zip(keys, rows))
-            if two_pass:
-                repaired = self._repair_columns(*args, rows)
-                rows = [
-                    _splice(current[key], row, replay.positions)
-                    for key, row in zip(keys, repaired)
-                ]
-            final.update(zip(keys, rows))
-            outcome.rows_recomputed += len(keys)
-            # One lineage record per row: the base annotation, the overrides
-            # outside the closure, then the passes' repairs (the later pass
-            # wins a cell, as its record_cell would).
-            for key, cells in zip(keys, overrides):
-                base = rel_state.base_lineage[key]
-                kept = {
-                    name: cell
-                    for name, cell in store.tuple_lineage(relation, key).cells.items()
-                    if name not in replay.closure
-                }
-                kept.update(cells)
-                store.record_tuple(
-                    relation,
-                    key,
-                    operator=base.operator,
-                    witnesses=base.witnesses,
-                    mapping_id=base.mapping_id,
-                    cell_sources=base.cell_sources,
-                    cells=kept,
-                )
-        return final
-
-    def _repair_columns(
-        self,
-        schema,
-        replay: _Replay,
-        learned: LearnedCFDs | None,
-        overrides: list[dict[str, CellLineage]],
-        outcome: IncrementalOutcome,
-        rows: list[tuple],
-    ) -> list[tuple]:
-        """One repair pass of the reached CFDs: ``rows`` with their closure
-        cells as that pass leaves them.
-
-        The pass reads only the replay's columns and is row-local, so rows
-        that agree there (values and types) repair alike: the repairer runs
-        once per distinct projection, and each row takes the cells it
-        rewrote, adding to its ``overrides`` the lineage the repairer
-        records. The other closure cells are coerced as the repairer's
-        output table coerces every cell. Without learned CFDs no pass runs
-        (see :meth:`_repair_rows`).
-        """
-        if learned is None or not learned.cfds:
-            return rows
-        slots: dict[tuple, int] = {}
-        distinct: list[tuple] = []
-        row_slots: list[int] = []
-        for row in rows:
-            values = tuple(row[position] for position in replay.columns)
-            slot = slots.setdefault((values, tuple(map(type, values))), len(distinct))
-            if slot == len(distinct):
-                distinct.append(values)
-            row_slots.append(slot)
-        rewrites: list[list[tuple]] = [[] for _ in distinct]
-        if replay.cfds and distinct:
-            projected = Schema(schema.name, [schema.attributes[p] for p in replay.columns])
-            mini = Table(projected, distinct, coerce=False, validate=False)
-            result = self._repairer.repair(mini, replay.cfds, witnesses=learned.witnesses)
-            repaired = result.table.tuples()
-            for action in result.actions:
-                column = projected.position(action.attribute)
-                lineage = CellLineage(
-                    operator=OPERATOR_REPAIR, detail=f"{action.cfd_id}:{action.kind}"
-                )
-                rewrites[action.row_index].append(
-                    (
-                        replay.columns[column],
-                        repaired[action.row_index][column],
-                        action.attribute,
-                        lineage,
-                    )
-                )
-        dtypes = [(position, schema.attributes[position].dtype) for position in replay.positions]
-        out = []
-        for row, slot, cells in zip(rows, row_slots, overrides):
-            values = list(row)
-            for position, dtype in dtypes:
-                values[position] = coerce_value(values[position], dtype)
-            for position, value, attribute, lineage in rewrites[slot]:
-                values[position] = value
-                cells[attribute] = lineage
-            outcome.cells_rerepaired += len(rewrites[slot])
-            out.append(tuple(values))
-        return out
 
     def _drop_key(
         self,
@@ -1185,70 +855,3 @@ class IncrementalWrangler:
             self._detector.pair_similarity(row(i), row(j)) >= threshold
             for i, j in self._detector.candidates(table, touching=touching)
         )
-
-
-def _moved(before: tuple | None, after: tuple | None, positions) -> bool:
-    """Whether a row appeared, vanished, or changed a value (or its type) at
-    one of ``positions``."""
-    if before is None or after is None:
-        return before is not after
-    for position in positions:
-        old, new = before[position], after[position]
-        if old is not new and (type(old) is not type(new) or old != new):
-            return True
-    return False
-
-
-@dataclass(frozen=True, eq=False)
-class _Replay:
-    """How one column delta's rows re-repair (see :func:`_narrow_repair`);
-    compared and hashed by identity."""
-
-    #: The reached CFDs.
-    cfds: tuple
-    #: Attributes whose cells may differ from the previous derivation.
-    closure: frozenset[str]
-    #: Schema positions the replay reads: the closure and the reached
-    #: CFDs' left-hand sides.
-    columns: tuple[int, ...]
-    #: Schema positions of the closure.
-    positions: tuple[int, ...]
-
-
-def _narrow_repair(cfds, attributes, read) -> tuple[list, frozenset[str]] | None:
-    """The CFDs a change to ``attributes`` reaches, and the attributes they
-    may rewrite (the closure); None when replaying them alone is unsound.
-
-    Repairs are row-local and run the CFDs in one order, so a CFD whose
-    sides avoid every attribute that may differ acts as it did before. The
-    closure starts at ``attributes`` and takes in the right-hand side of
-    every CFD that reads one of its attributes; the reached CFDs are those
-    writing into it. Replaying them alone gives the closure's cells exactly
-    when none of them reads an attribute outside the closure that some CFD
-    rewrites (its value would depend on when that CFD runs). The closure
-    must also avoid ``read``, the attributes duplicate detection reads, so
-    no pair of the row moves.
-    """
-    closure = set(attributes)
-    grew = True
-    while grew:
-        grew = False
-        for cfd in cfds:
-            if cfd.rhs not in closure and closure.intersection(cfd.lhs):
-                closure.add(cfd.rhs)
-                grew = True
-    if closure & set(read):
-        return None
-    written = {cfd.rhs for cfd in cfds}
-    reached = [cfd for cfd in cfds if cfd.rhs in closure]
-    if any((set(cfd.lhs) - closure) & written for cfd in reached):
-        return None
-    return reached, frozenset(closure)
-
-
-def _splice(row: tuple, source: tuple, positions) -> tuple:
-    """``row`` with the cells at ``positions`` taken from ``source``."""
-    values = list(row)
-    for position in positions:
-        values[position] = source[position]
-    return tuple(values)

@@ -143,7 +143,7 @@ class MappingExecutor:
                 operator=OPERATOR_MAPPING,
                 witnesses=(frozenset(refs),),
                 mapping_id=mapping.mapping_id,
-                cell_sources=self.cell_sources(leaf),
+                cell_sources=self._cell_sources(leaf),
             )
         return (*coerced, row[-2], row[-1])
 
@@ -156,7 +156,7 @@ class MappingExecutor:
             return leaves
         return [mapping]
 
-    def cell_sources(self, leaf: SchemaMapping) -> dict[str, str]:
+    def _cell_sources(self, leaf: SchemaMapping) -> dict[str, str]:
         """``target attribute -> source relation`` for one leaf mapping.
 
         Only assignments whose source attribute actually exists are kept —

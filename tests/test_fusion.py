@@ -58,19 +58,6 @@ class TestBlocking:
         singleton_blocks = [b for key, b in blocks.items() if key[0] == "__null__"]
         assert singleton_blocks and all(len(b) == 1 for b in singleton_blocks)
 
-    def test_composite_keys_with_a_null_or_missing_part_become_singletons(self):
-        table = listing_table().extend([("Oak Street", None, 1.0, 1, "x")])
-        blocks = block_by_attributes(table, ["street", "postcode"])
-        assert blocks == {
-            ("oakstreet", "m11aa"): [0, 1, 2],
-            ("elmroad", "m53cc"): [3],
-            ("__null__", 4): [4],
-        }
-        assert block_by_attributes(table, ["street", "floor"]) == {
-            ("__null__", index): [index] for index in range(5)
-        }
-        assert block_by_attributes(table, []) == {(): [0, 1, 2, 3, 4]}
-
     def test_block_by_key_function(self):
         blocks = block_by_key_function(listing_table(), lambda row: row["bedrooms"])
         assert set(blocks) == {3, 4, 2}

@@ -13,28 +13,18 @@ from hypothesis import strategies as st
 from repro.core.facts import Feedback, Predicates
 from repro.core.knowledge_base import KnowledgeBase
 from repro.feedback.annotations import simulate_feedback
-from repro.fusion.duplicates import DuplicateDetectorConfig
 from repro.incremental import ChangeSet, FeedbackDelta, SourceRowsDelta, cluster_map, resolve
-from repro.incremental.rewrangle import IncrementalWrangler, _narrow_repair
 from repro.incremental.state import IncrementalState, RelationState
-from repro.incremental.validate import (
-    _compare_lineage,
-    _compare_metrics,
-    _prepare,
-    check_appends,
-    check_incremental,
-)
+from repro.incremental.validate import _prepare, check_appends, check_incremental
 from repro.mapping.generation import MappingGenerator
 from repro.mapping.model import AttributeAssignment, JoinCondition, SchemaMapping
 from repro.mapping.transducers import (
     BASE_SCORES_ARTIFACT_KEY,
-    MAPPINGS_ARTIFACT_KEY,
     MappingGenerationTransducer,
     score_candidates,
 )
 from repro.provenance.feedback import LineageFeedbackPropagator
 from repro.quality import stats as quality_stats
-from repro.quality.cfd import CFD
 from repro.relational.catalog import Catalog
 from repro.relational.schema import Attribute, Schema
 from repro.relational.table import Table
@@ -559,169 +549,6 @@ class TestRowRemoval:
         assert fast.as_dict() == slow.as_dict()
         assert fast.attribute_completeness == slow.attribute_completeness
         assert fast.row_count == slow.row_count
-
-
-def join_leaf(source, assignments, joins=(("depot", "depots", "depot_id"),)):
-    """A join leaf of ``shipment`` driven by ``source``; ``assignments`` are
-    (target, relation, attribute[, score]) tuples, ``joins`` (left
-    attribute, relation, right attribute) triplets."""
-    return SchemaMapping(
-        mapping_id=f"m_{source}",
-        target_relation="shipment",
-        kind="join",
-        sources=(source, *dict.fromkeys(relation for _left, relation, _right in joins)),
-        assignments=tuple(AttributeAssignment(*fields) for fields in assignments),
-        join_conditions=tuple(
-            JoinCondition(source, left, relation, right) for left, relation, right in joins
-        ),
-    )
-
-
-class TestColumnDeltas:
-    """Feedback that drops or moves an assignment of a selected leaf, which
-    keeps its sources and join conditions, re-reads only those columns of
-    the leaf's driving-source segment instead of re-executing it; rows whose
-    repair the change reaches replay just the CFDs it reaches."""
-
-    FEED = [("tracking_id", "feed", "tid"), ("region", "depots", "region")]
-    #: Detection blocks on the tracking id (the join-heavy bench's setup).
-    BY_TRACKING_ID = WranglerConfig(
-        duplicate_detector=DuplicateDetectorConfig(
-            blocking_attributes=("tracking_id",),
-            comparison_attributes=("dest_city", "weight_kg", "carrier", "status"),
-        ),
-    )
-
-    def union(self, *leaves):
-        return SchemaMapping("m_union", "shipment", "union", children=leaves)
-
-    def test_changed_leaves_tell_column_deltas_from_reshaped_leaves(self):
-        old = self.union(join_leaf("feed", self.FEED), join_leaf("feed2", self.FEED))
-        changed = IncrementalWrangler._changed_leaves
-
-        dropped = self.union(join_leaf("feed", self.FEED[:1]), join_leaf("feed2", self.FEED))
-        assert changed(old, dropped) == {"feed": frozenset({"region"})}
-        moved = [self.FEED[0], ("region", "depots", "area")]
-        both = self.union(join_leaf("feed", moved), join_leaf("feed2", self.FEED[:1]))
-        assert changed(old, both) == {
-            "feed": frozenset({"region"}),
-            "feed2": frozenset({"region"}),
-        }
-        rescored = [self.FEED[0], ("region", "depots", "region", 0.4)]
-        assert changed(old, self.union(
-            join_leaf("feed", rescored), join_leaf("feed2", self.FEED)
-        )) == {}
-        rejoined = join_leaf("feed", self.FEED, joins=(("hub", "depots", "depot_id"),))
-        assert changed(old, self.union(rejoined, join_leaf("feed2", self.FEED))) == {
-            "feed": None
-        }
-        wider = self.union(*old.children, join_leaf("feed3", self.FEED))
-        assert changed(old, wider) is None
-
-    def test_narrow_repair_closes_over_the_cfds_a_change_reaches(self):
-        def cfd(cfd_id, lhs, rhs):
-            return CFD(cfd_id, "shipment", tuple(lhs), rhs)
-
-        fills = cfd("fills", ["depot"], "region")
-        reads = cfd("reads", ["region", "carrier"], "zone")
-        apart = cfd("apart", ["city"], "country")
-        cfds = [fills, reads, apart]
-        assert _narrow_repair(cfds, {"region"}, {"tracking_id"}) == (
-            [fills, reads],
-            frozenset({"region", "zone"}),
-        )
-        assert _narrow_repair(cfds, {"manager"}, {"tracking_id"}) == ([], frozenset({"manager"}))
-        # The closure reaches an attribute duplicate detection reads.
-        assert _narrow_repair(cfds, {"region"}, {"zone"}) is None
-        # A reached CFD reads a cell another CFD may rewrite first.
-        assert _narrow_repair([*cfds, cfd("moves", ["city"], "carrier")], {"region"}, ()) is None
-
-    def test_dropped_assignment_patches_columns_and_matches_full_runs(self, monkeypatch):
-        """shipment_tracking at 600 entities, blocking on the tracking id:
-        two rounds drop an assignment of both leaves (``region`` and
-        ``depot_manager``); each round equals a full run in rows, metric
-        facts and lineage."""
-        outcomes, replayed = [], []
-        apply, replay = IncrementalWrangler.apply, IncrementalWrangler._replay
-
-        def spy_apply(engine, change_set):
-            outcome = apply(engine, change_set)
-            outcomes.append(outcome)
-            return outcome
-
-        def spy_replay(engine, relation, rel_state, replays, *args, **kwargs):
-            replayed.append(len(replays))
-            return replay(engine, relation, rel_state, replays, *args, **kwargs)
-
-        monkeypatch.setattr(IncrementalWrangler, "apply", spy_apply)
-        monkeypatch.setattr(IncrementalWrangler, "_replay", spy_replay)
-        report = check_incremental(
-            SynthConfig(family="shipment_tracking", entities=600, seed=0),
-            rounds=3,
-            budget=9,
-            wrangler_config=self.BY_TRACKING_ID,
-        )
-        assert report.ok, report.describe()
-        assert report.patched_rounds == 3
-        assert sum(outcome.rows_column_patched > 0 for outcome in outcomes) == 2
-        assert sum(replayed) > 0
-
-    @staticmethod
-    def revise(session, leaf):
-        """``leaf`` reading ``region`` from the depots' manager column and
-        ``depot_manager`` from their region column, plus a ``tracking_id``
-        read from an unassigned ``*_id`` column of its driving source."""
-        swapped = {"region": "depot_manager", "depot_manager": "region"}
-        assignments = [
-            AttributeAssignment(
-                a.target_attribute, a.source_relation, swapped[a.target_attribute], a.score
-            )
-            if a.source_relation == "depots" and a.target_attribute in swapped
-            else a
-            for a in leaf.assignments
-        ]
-        source = leaf.sources[0]
-        used = {a.source_attribute for a in leaf.assignments if a.source_relation == source}
-        extra = next(
-            (
-                name
-                for name in session.kb.catalog.get(source).schema.attribute_names
-                if name.endswith("_id") and name not in used
-            ),
-            None,
-        )
-        if extra is not None and "tracking_id" not in {a.target_attribute for a in assignments}:
-            assignments.append(AttributeAssignment("tracking_id", source, extra, 0.9))
-        return dataclasses.replace(leaf, assignments=tuple(assignments))
-
-    @pytest.mark.parametrize(
-        ("seed", "blocking"), [(0, False), (5, False), (3, True)], ids=["0", "5", "3-blocked"]
-    )
-    def test_revised_assignments_reread_columns_like_a_full_run(self, seed, blocking):
-        """The selected mapping's leaves swap two depot columns and gain an
-        assignment under the same id; the patch re-reads those columns and
-        equals a full rebuild in rows, metric facts and lineage. Blocked on
-        the tracking id, the gained assignment makes rows pair that were
-        apart, some of them rows whose repair was to be replayed."""
-        _scenario, incremental, full = twin_sessions(
-            SynthConfig(family="shipment_tracking", entities=120, seed=seed),
-            self.BY_TRACKING_ID if blocking else None,
-        )
-        winner = incremental.selected_mapping()
-        revised = dataclasses.replace(
-            winner, children=tuple(self.revise(incremental, leaf) for leaf in winner.children)
-        )
-        for session in (incremental, full):
-            session.kb.get_artifact(MAPPINGS_ARTIFACT_KEY)[winner.mapping_id] = revised
-        full.incremental.get(full.result_name()).mark_stale("reference run")
-        patched = incremental.session().apply(ChangeSet(()))
-        rebuilt = full.session().apply(ChangeSet(()))
-        assert patched.incremental["applied"], patched.incremental["reason"]
-        assert patched.incremental["rows_column_patched"] > 0
-        assert not rebuilt.incremental["applied"]
-        assert tables_equal(incremental.result(), full.result())
-        assert _compare_lineage(incremental, full) == ""
-        assert _compare_metrics(incremental, full) == ""
 
 
 class TestIncrementalMetrics:

@@ -689,16 +689,19 @@ class TestScoredOnce:
         assert wrangler.evaluate() == wrangler.evaluate(use_stats=False)
         assert sum(builds.values()) == 2
 
-    def test_entry_with_query_observations_is_rebuilt(self, monkeypatch):
-        """A rebuilt entry holds no query observations, so a kept one must
-        not either: the metric transducer asserts the same facts."""
-        wrangler, builds = self.bootstrapped(monkeypatch)
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP 11: the metric transducer rebuilds an entry that holds query"
+        " observations, and the rebuilt entry drops them"))
+    def test_query_agreement_survives_a_metric_run(self, monkeypatch):
+        """The certain-vs-repaired agreement ``Wrangler.query`` recorded
+        still scores the result after the metric transducer runs again."""
+        wrangler, _builds = self.bootstrapped(monkeypatch)
         kb = wrangler.kb
         name = result_relation_name(wrangler.target_relation)
         wrangler.query(f"q(K) :- {wrangler.target_relation}(sku=K).", mode="both")
-        assert quality_stats_stash(kb).get(name).stats.answer_agreement is not None
-        builds.clear()
+        agreement = wrangler.evaluate().answer_agreement
+        assert agreement is not None
         QualityMetricTransducer().execute(kb)
-        assert list(builds) == [(name, id(kb.get_table(name)))]
+        assert wrangler.evaluate().answer_agreement == agreement
         criteria = {row[2] for row in kb.facts(Predicates.METRIC) if row[1] == name}
-        assert criteria == {"completeness", "accuracy", "consistency", "relevance"}
+        assert "answer_agreement" in criteria
